@@ -256,7 +256,7 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 	}
 	vectorized := d.opt.Vectorized && d.app.Profile().Reducible
 	perThread := make([][]delivery, d.opt.Threads)
-	var vecRows, reduced atomic.Int64
+	var reduced atomic.Int64
 	var wg sync.WaitGroup
 	var pc pipeline.PanicCollector
 	for t := 0; t < d.opt.Threads; t++ {
@@ -270,7 +270,7 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 			var out []delivery
 			var lanes []csb.Lane
 			var sortScratch []float32
-			var localRows, localReduced int64
+			var localReduced int64
 			for {
 				lo, hi, ok := s.Next()
 				if !ok {
@@ -295,7 +295,6 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 					}
 					if vectorized {
 						d.app.ReduceVec(arr, rows)
-						localRows += int64(rows)
 						for _, l := range lanes {
 							out = append(out, delivery{l.Vertex, arr.At(0, l.Lane)})
 							localReduced += int64(l.Count)
@@ -313,7 +312,6 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 				}
 			}
 			perThread[t] = out
-			vecRows.Add(localRows)
 			reduced.Add(localReduced)
 		}(t)
 	}
@@ -329,7 +327,11 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 	for _, out := range perThread {
 		deliveries = append(deliveries, out...)
 	}
-	c.VecRows += vecRows.Load()
+	if vectorized {
+		// Priced from the canonical column packing, not the rows just
+		// reduced: those follow the racy column-allocation order.
+		c.VecRows += d.buf.PackedRows()
+	}
 	c.ReducedMessages += reduced.Load()
 	c.TaskFetches += s.Fetches()
 	c.Steps++

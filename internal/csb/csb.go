@@ -390,20 +390,63 @@ func (b *Buffer) allocColumn(gr *group, posIn int) int32 {
 
 // ColumnFills appends the per-column message counts of this iteration to
 // dst and returns it; the cost model's contention estimator consumes these.
+// Counts are reported in vertex-position order, not column order: dynamic
+// allocation hands columns out in whatever order the inserting threads
+// reach them, and the estimator's floating-point sum must not depend on it.
 func (b *Buffer) ColumnFills(dst []int32) []int32 {
 	for gi := range b.groups {
 		gr := &b.groups[gi]
-		limit := int(atomic.LoadInt32(&gr.colOffset))
-		if limit > len(gr.fill) {
-			limit = len(gr.fill)
-		}
-		for c := 0; c < limit; c++ {
-			if f := atomic.LoadInt32(&gr.fill[c]); f > 0 {
+		for posIn := range gr.index {
+			if f := b.positionFill(gr, posIn); f > 0 {
 				dst = append(dst, f)
 			}
 		}
 	}
 	return dst
+}
+
+// PackedRows returns the SIMD rows a vectorized reduction of this
+// iteration's messages costs, counting each group's occupied columns as if
+// they had been allocated in vertex-position order: a row per lane-width
+// chunk of columns, as tall as the chunk's fullest column. The real layout
+// follows the racy column-allocation order, so its row count varies from
+// run to run; the canonical packing keeps the priced work deterministic.
+// OneToOne mode's mapping is already fixed, so its real layout is counted.
+func (b *Buffer) PackedRows() int64 {
+	w := int(b.cfg.Width)
+	var rows int64
+	for gi := range b.groups {
+		gr := &b.groups[gi]
+		chunk, tallest, occupied := 0, int32(0), 0
+		for posIn := range gr.index {
+			f := b.positionFill(gr, posIn)
+			if f == 0 {
+				continue
+			}
+			slot := occupied
+			if b.cfg.Mode == OneToOne {
+				slot = posIn
+			}
+			occupied++
+			if slot/w != chunk {
+				rows += int64(tallest)
+				chunk, tallest = slot/w, 0
+			}
+			tallest = max(tallest, f)
+		}
+		rows += int64(tallest)
+	}
+	return rows
+}
+
+// positionFill returns the message count of the column held by group
+// position posIn this iteration (0 when it holds none).
+func (b *Buffer) positionFill(gr *group, posIn int) int32 {
+	col := atomic.LoadInt32(&gr.index[posIn])
+	if col < 0 {
+		return 0
+	}
+	return atomic.LoadInt32(&gr.fill[col])
 }
 
 // ColumnsUsed returns the number of columns allocated this iteration.

@@ -576,3 +576,43 @@ func TestResetReturnsBytes(t *testing.T) {
 		t.Fatalf("reset rewrote %d bytes, want 32 (8 messages x 4B)", got)
 	}
 }
+
+func TestPackedRowsAndFillsIgnoreAllocationOrder(t *testing.T) {
+	// One group of 8 equal-degree vertices (position = vertex ID). Vertices
+	// 0 and 4 get 3 messages, 1..3 one each. Allocating in position order
+	// packs {3,1,1,1}{3} (6 rows); allocating 0 and 4 first packs
+	// {3,3,1,1}{1} (4 rows). The priced rows and the reported fills must
+	// follow position order either way.
+	in := []int32{3, 3, 3, 3, 3, 3, 3, 3}
+	fills := map[graph.VertexID]int{0: 3, 1: 1, 2: 1, 3: 1, 4: 3}
+	for _, order := range [][]graph.VertexID{{0, 1, 2, 3, 4}, {0, 4, 1, 2, 3}} {
+		b, err := BuildFromDegrees(in, Config{Width: 4, K: 2, Identity: inf, Mode: Dynamic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range order {
+			for i := 0; i < fills[v]; i++ {
+				b.Insert(v, 1)
+			}
+		}
+		if got := b.PackedRows(); got != 6 {
+			t.Errorf("order %v: PackedRows = %d, want 6", order, got)
+		}
+		if got := b.ColumnFills(nil); !reflect.DeepEqual(got, []int32{3, 1, 1, 1, 3}) {
+			t.Errorf("order %v: ColumnFills = %v, want position order", order, got)
+		}
+	}
+	// One-to-one columns are fixed, so the real layout is the packing.
+	b, err := BuildFromDegrees(in, Config{Width: 4, K: 2, Identity: inf, Mode: OneToOne})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, n := range fills {
+		for i := 0; i < n; i++ {
+			b.Insert(v, 1)
+		}
+	}
+	if rows, _ := b.OccupancyStats(); b.PackedRows() != rows {
+		t.Errorf("one-to-one PackedRows = %d, real rows %d", b.PackedRows(), rows)
+	}
+}
