@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hetgraph/internal/comm"
 	"hetgraph/internal/csb"
 	"hetgraph/internal/fault"
 	"hetgraph/internal/graph"
 	"hetgraph/internal/machine"
-	"hetgraph/internal/metrics"
 	"hetgraph/internal/pipeline"
 	"hetgraph/internal/sched"
-	"hetgraph/internal/trace"
 )
 
 // delivery is one reduced message ready for vertex updating.
@@ -24,30 +21,12 @@ type delivery struct {
 }
 
 // deviceF32 is one device's engine state for a float32-message application.
-// For single-device runs assign is nil; for heterogeneous runs it maps each
-// vertex to its owner rank and ep connects to the peer device.
 type deviceF32 struct {
+	engine[float32]
 	app    AppF32
 	g      *graph.CSR
-	opt    Options
-	cm     machine.CostModel
 	buf    *csb.Buffer
-	rank   int
-	assign []int32
-	ep     *comm.Endpoint[float32]
-	// step is the current superstep, used to index injected faults.
-	step int64
-	// wall holds the current iteration's measured wall-clock phase
-	// durations; written only when opt.Metrics is non-nil (exchange is the
-	// exception: comm measures it regardless, the copy here is free).
-	wall phaseWallNS
-
-	remoteMu sync.Mutex
-	remote   remoteCombinerF32
-	remCount atomic.Int64
-
-	fillScratch []int32
-	pipe        *pipeline.Pipelined[float32]
+	remote remoteCombinerF32
 
 	// din holds the direction-optimizing state (transpose, bitmap
 	// frontiers, switch heuristic); nil for push-only configurations, which
@@ -69,29 +48,19 @@ type remoteCombinerF32 interface {
 }
 
 func newDeviceF32(app AppF32, g *graph.CSR, opt Options, rank int, assign []int32, ep *comm.Endpoint[float32]) (*deviceF32, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
+	d := &deviceF32{app: app, g: g}
+	if err := d.init(app, app.Profile(), opt, rank, assign, ep); err != nil {
 		return nil, err
 	}
-	cm, err := machine.NewCostModel(opt.Dev, app.Profile())
-	if err != nil {
-		return nil, err
-	}
-	buf, err := csb.Build(g, csb.Config{
-		Width:    opt.Dev.SIMDWidth,
-		K:        opt.K,
+	var err error
+	d.buf, err = csb.Build(g, csb.Config{
+		Width:    d.opt.Dev.SIMDWidth,
+		K:        d.opt.K,
 		Identity: app.Identity(),
-		Mode:     opt.CSBMode,
+		Mode:     d.opt.CSBMode,
 	})
 	if err != nil {
 		return nil, err
-	}
-	d := &deviceF32{app: app, g: g, opt: opt, cm: cm, buf: buf, rank: rank, assign: assign, ep: ep}
-	if opt.Scheme == SchemePipelined {
-		d.pipe, err = pipeline.NewPipelined[float32](opt.Workers, opt.Movers, opt.GenBatchSize)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if assign != nil {
 		if IsOrderSensitive(app) {
@@ -101,19 +70,14 @@ func newDeviceF32(app AppF32, g *graph.CSR, opt Options, rank int, assign []int3
 		}
 	}
 	d.sortLanes = IsOrderSensitive(app)
-	if opt.Direction != DirectionPush {
+	if d.opt.Direction != DirectionPush {
 		if p, ok := app.(PullerF32); ok {
 			d.din = newDirectionState(p, g, rank, assign)
-		} else if opt.Direction == DirectionPull {
+		} else if d.opt.Direction == DirectionPull {
 			return nil, &InvalidOptionsError{Field: "Direction", Reason: fmt.Sprintf("pull requires the application to implement core.PullerF32; %T does not (auto falls back to push)", app)}
 		}
 	}
 	return d, nil
-}
-
-// local reports whether this device owns v.
-func (d *deviceF32) local(v graph.VertexID) bool {
-	return d.assign == nil || d.assign[v] == int32(d.rank)
 }
 
 // route is the locking-scheme emit target: local messages enter the CSB
@@ -164,75 +128,60 @@ func (d *deviceF32) generate(active []graph.VertexID, c *machine.Counters) error
 			return d.generatePull(active, c)
 		}
 	}
-	gen := func(v graph.VertexID, emit func(graph.VertexID, float32)) {
-		if d.opt.Fault.PanicNow(d.rank, d.step, fault.PhaseGenerate) {
-			panic(fmt.Sprintf("fault: injected panic, rank %d superstep %d phase generate", d.rank, d.step))
-		}
-		d.app.Generate(v, emit)
-	}
-	var st pipeline.Stats
-	var err error
-	switch d.opt.Scheme {
-	case SchemeLocking:
-		st, err = pipeline.RunLocking(active, d.opt.Threads, gen, d.route)
-	case SchemePipelined:
-		st, err = d.pipe.RunBatched(active, gen, d.routeOwnedBatch)
-	default:
-		err = fmt.Errorf("core: unknown scheme %v", d.opt.Scheme)
-	}
-	if err != nil {
+	if err := d.runGenerate(d.app, active, c, d.route, d.routeOwnedBatch); err != nil {
 		return err
 	}
-	c.ActiveVertices += int64(len(active))
-	c.EdgesTraversed += st.Messages
-	c.Messages += st.Messages
-	c.TaskFetches += st.TaskFetches
-	c.QueueOps += st.QueueOps
-	c.QueueBatchOps += st.QueueBatchOps
-	c.RemoteMessages += d.remCount.Swap(0)
 	c.ColumnsUsed += d.buf.ColumnsUsed()
-	c.Steps++
 	if d.opt.Scheme == SchemeLocking {
-		// Contention statistics from the real per-column insert counts,
-		// priced for the modeled device's thread count.
 		d.fillScratch = d.buf.ColumnFills(d.fillScratch[:0])
-		exp, floor := machine.ContentionStats(d.fillScratch, d.opt.Dev.Threads())
-		c.ConflictExpected += exp
-		if floor > c.SerialFloorMsgs {
-			c.SerialFloorMsgs = floor
-		}
+		d.countContention(d.fillScratch, c)
 	}
 	return nil
 }
 
-// exchange performs the cross-device round: drains the remote combiner
-// routed per destination owner, swaps payloads with every live peer, and
-// inserts received messages locally. It returns the peers' summed active
-// count from the previous update step, or a *comm.DeviceFailedError when
-// the round failed (timeout, dead peer, or an injected fault on this rank).
-// With no endpoint or no live peers the round is a no-op (a lone member
-// owns every vertex, so the combiner is empty by construction).
-func (d *deviceF32) exchange(activeLocal int64, c *machine.Counters, pt *PhaseTimes) (int64, error) {
-	if d.ep == nil || d.ep.NumLivePeers() == 0 {
-		return 0, nil
+// superstep runs one BSP superstep on this rank. The implicit remote
+// message exchange (Fig. 2) carries the superstep's active count, which
+// doubles as the group's termination allreduce: when no vertex was active
+// anywhere, nothing was generated and the run is over, so the superstep
+// ends there as a convergence probe carrying only generate + exchange
+// work. (The exchange's wall time — including the lockstep wait for the
+// peers — is measured by comm.)
+func (d *deviceF32) superstep(active []graph.VertexID) (stepOutcome, error) {
+	s := stepOutcome{c: machine.Counters{Iterations: 1}}
+	s.c.BufferResetBytes = d.buf.Reset()
+	t := d.clock()
+	if err := d.generate(active, &s.c); err != nil {
+		return s, err
 	}
-	// Drain into fresh per-rank slices: the payload crosses to peers that
-	// may still be reading it while this device runs ahead — reusing a
-	// scratch buffer here would race with the receivers.
-	send := d.remote.DrainRouted(make([][]comm.Msg[float32], d.ep.Ranks()), func(v graph.VertexID) int { return int(d.assign[v]) })
-	recv, activeRemote, st, err := d.ep.ExchangeAll(send, activeLocal)
+	d.lap(&d.wall.generate, t)
+	s.dir = d.direction()
+	recv, remoteActive, err := d.exchange(d.remote, int64(len(active)), &s.c, &s.pt)
 	if err != nil {
-		return 0, err
+		return s, err
 	}
 	for _, m := range recv {
 		d.buf.Insert(m.Dst, m.Val)
 	}
-	c.Messages += int64(len(recv))
-	c.BytesSent += st.BytesSent
-	c.Exchanges++
-	pt.Exchange += st.SimSeconds
-	d.wall.exchange += st.WallNS
-	return activeRemote, nil
+	if int64(len(active))+remoteActive == 0 && !d.fixed {
+		s.converged, s.probe = true, true
+		return s, nil
+	}
+	t = d.clock()
+	deliveries, err := d.process(&s.c)
+	if err != nil {
+		return s, err
+	}
+	t = d.lap(&d.wall.process, t)
+	if s.next, err = d.update(deliveries, &s.c); err != nil {
+		return s, err
+	}
+	d.lap(&d.wall.update, t)
+	s.pt.Generate = d.generateSeconds(s.c)
+	// Pull supersteps add the bottom-up in-edge sweep to the process phase;
+	// zero when no edges were scanned.
+	s.pt.Process = d.cm.Process(s.c, d.opt.Dev.Threads(), d.opt.Vectorized) + d.cm.Pull(s.c, d.opt.Dev.Threads())
+	s.pt.Update = d.cm.Update(s.c, d.opt.Dev.Threads())
+	return s, nil
 }
 
 // process dispatches the superstep's process phase: the CSB reduction for
@@ -387,123 +336,6 @@ func (d *deviceF32) update(deliveries []delivery, c *machine.Counters) ([]graph.
 	return next, nil
 }
 
-// phaseTimes prices one iteration's counters on the modeled device.
-func (d *deviceF32) phaseTimes(c machine.Counters) PhaseTimes {
-	var pt PhaseTimes
-	switch d.opt.Scheme {
-	case SchemePipelined:
-		pt.Generate = d.cm.GeneratePipelined(c, d.opt.Dev.Threads()-machineMovers(d.opt), machineMovers(d.opt))
-	default:
-		pt.Generate = d.cm.GenerateLocking(c, d.opt.Dev.Threads())
-	}
-	pt.Process = d.cm.Process(c, d.opt.Dev.Threads(), d.opt.Vectorized)
-	// Pull supersteps add the bottom-up in-edge sweep to the process phase;
-	// zero when no edges were scanned.
-	pt.Process += d.cm.Pull(c, d.opt.Dev.Threads())
-	pt.Update = d.cm.Update(c, d.opt.Dev.Threads())
-	return pt
-}
-
-// machineMovers returns the mover count scaled to the modeled device (the
-// real goroutine split may differ when Threads is overridden).
-func machineMovers(o Options) int {
-	_, movers := machine.DefaultPipeSplit(o.Dev)
-	if o.Movers > 0 && o.Workers > 0 && o.Workers+o.Movers == o.Dev.Threads() {
-		return o.Movers
-	}
-	return movers
-}
-
-// phaseWallNS is one iteration's measured wall-clock phase durations in
-// nanoseconds.
-type phaseWallNS struct {
-	generate, exchange, process, update int64
-}
-
-// emitEvent records e on sink, stamping the host time; nil-safe.
-func emitEvent(sink metrics.Sink, e metrics.Event) {
-	if sink == nil {
-		return
-	}
-	if e.UnixNano == 0 {
-		e.UnixNano = time.Now().UnixNano()
-	}
-	sink.RecordEvent(e)
-}
-
-// recordMetrics emits the iteration's wall-clock + simulated phase samples
-// to the configured metrics sink, if any, and resets the wall scratch.
-func (d *deviceF32) recordMetrics(iter int64, c machine.Counters, pt PhaseTimes) {
-	sink := d.opt.Metrics
-	if sink == nil {
-		return
-	}
-	dev := d.opt.traceLabel()
-	dir := d.direction()
-	sink.RecordPhase(metrics.PhaseSample{Device: dev, Rank: d.rank, Superstep: iter, Phase: metrics.PhaseGenerate, Direction: dir, WallNS: d.wall.generate, SimSeconds: pt.Generate, Events: c.Messages})
-	if c.Exchanges > 0 {
-		sink.RecordPhase(metrics.PhaseSample{Device: dev, Rank: d.rank, Superstep: iter, Phase: metrics.PhaseExchange, Direction: dir, WallNS: d.wall.exchange, SimSeconds: pt.Exchange, Events: c.BytesSent})
-	}
-	sink.RecordPhase(metrics.PhaseSample{Device: dev, Rank: d.rank, Superstep: iter, Phase: metrics.PhaseProcess, Direction: dir, WallNS: d.wall.process, SimSeconds: pt.Process, Events: c.ReducedMessages})
-	sink.RecordPhase(metrics.PhaseSample{Device: dev, Rank: d.rank, Superstep: iter, Phase: metrics.PhaseUpdate, Direction: dir, WallNS: d.wall.update, SimSeconds: pt.Update, Events: c.UpdatedVertices})
-	d.wall = phaseWallNS{}
-}
-
-// recordTrace emits the iteration's phase samples to the configured
-// recorder, if any.
-func (d *deviceF32) recordTrace(iter int64, c machine.Counters, pt PhaseTimes) {
-	r := d.opt.Trace
-	if r == nil {
-		return
-	}
-	dev := d.opt.traceLabel()
-	dir := d.direction()
-	r.Record(trace.Sample{Device: dev, Iteration: iter, Phase: trace.PhaseGenerate, Direction: dir, SimSeconds: pt.Generate, Events: c.Messages})
-	if c.Exchanges > 0 {
-		r.Record(trace.Sample{Device: dev, Iteration: iter, Phase: trace.PhaseExchange, Direction: dir, SimSeconds: pt.Exchange, Events: c.BytesSent})
-	}
-	r.Record(trace.Sample{Device: dev, Iteration: iter, Phase: trace.PhaseProcess, Direction: dir, SimSeconds: pt.Process, Events: c.ReducedMessages})
-	r.Record(trace.Sample{Device: dev, Iteration: iter, Phase: trace.PhaseUpdate, Direction: dir, SimSeconds: pt.Update, Events: c.UpdatedVertices})
-}
-
-// runIteration executes one full superstep (without exchange) and returns
-// the next active set, the iteration counters, and their simulated time.
-func (d *deviceF32) runIteration(active []graph.VertexID) ([]graph.VertexID, machine.Counters, PhaseTimes, error) {
-	measured := d.opt.Metrics != nil
-	var c machine.Counters
-	c.Iterations = 1
-	c.BufferResetBytes = d.buf.Reset()
-	var t time.Time
-	if measured {
-		t = time.Now()
-	}
-	if err := d.generate(active, &c); err != nil {
-		return nil, c, PhaseTimes{}, err
-	}
-	if measured {
-		now := time.Now()
-		d.wall.generate = now.Sub(t).Nanoseconds()
-		t = now
-	}
-	deliveries, err := d.process(&c)
-	if err != nil {
-		return nil, c, PhaseTimes{}, err
-	}
-	if measured {
-		now := time.Now()
-		d.wall.process = now.Sub(t).Nanoseconds()
-		t = now
-	}
-	next, err := d.update(deliveries, &c)
-	if err != nil {
-		return nil, c, PhaseTimes{}, err
-	}
-	if measured {
-		d.wall.update = time.Since(t).Nanoseconds()
-	}
-	return next, c, d.phaseTimes(c), nil
-}
-
 // RunF32 executes app on a single modeled device until no vertex is active
 // or MaxIterations is reached.
 func RunF32(app AppF32, g *graph.CSR, opt Options) (Result, error) {
@@ -514,61 +346,5 @@ func RunF32(app AppF32, g *graph.CSR, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runF32Loop(d, app.Init(g), d.opt.MaxIterations)
-}
-
-// runF32Loop drives the single-device BSP loop for at most maxIter
-// iterations starting from the given active set. It is shared by RunF32 and
-// by the degraded single-device continuation after a heterogeneous failure.
-func runF32Loop(d *deviceF32, active []graph.VertexID, maxIter int) (Result, error) {
-	start := time.Now()
-	var res Result
-	fixed := IsFixedActive(d.app)
-	initial := active
-	for iter := 0; iter < maxIter; iter++ {
-		d.step = int64(iter)
-		if len(active) == 0 {
-			res.Converged = true
-			break
-		}
-		if abortRequested(d.opt.Abort) {
-			emitEvent(d.opt.Metrics, metrics.Event{
-				Kind: metrics.EventRunAborted, Rank: d.rank,
-				Superstep: int64(iter), Detail: "cooperative abort at superstep boundary",
-			})
-			res.SimSeconds = res.Phases.Total()
-			res.WallSeconds = time.Since(start).Seconds()
-			return res, &RunAbortedError{Superstep: int64(iter)}
-		}
-		next, c, pt, err := d.runIteration(active)
-		if err != nil {
-			// Attribute the failure to its superstep and return the result
-			// accumulated so far — the counters and phase times of every
-			// completed iteration are diagnostic material, not garbage.
-			err = fmt.Errorf("core: superstep %d: %w", iter, err)
-			emitEvent(d.opt.Metrics, metrics.Event{
-				Kind: metrics.EventSuperstepError, Rank: d.rank,
-				Superstep: int64(iter), Detail: err.Error(),
-			})
-			res.SimSeconds = res.Phases.Total()
-			res.WallSeconds = time.Since(start).Seconds()
-			return res, err
-		}
-		d.recordTrace(res.Iterations, c, pt)
-		d.recordMetrics(res.Iterations, c, pt)
-		res.Iterations++
-		res.Counters.Add(c)
-		res.Phases.Add(pt)
-		if fixed {
-			active = initial
-		} else {
-			active = next
-		}
-	}
-	if len(active) == 0 {
-		res.Converged = true
-	}
-	res.SimSeconds = res.Phases.Total()
-	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
+	return runSingle[float32](d, app.Init(g))
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"hetgraph/internal/checkpoint"
@@ -145,18 +144,6 @@ func validAssign(g *graph.CSR, assign []int32, ranks int) error {
 		}
 	}
 	return nil
-}
-
-// splitActive partitions the initially active vertices between two ranks.
-func splitActive(active []graph.VertexID, assign []int32) (a0, a1 []graph.VertexID) {
-	for _, v := range active {
-		if assign[v] == 0 {
-			a0 = append(a0, v)
-		} else {
-			a1 = append(a1, v)
-		}
-	}
-	return a0, a1
 }
 
 // splitActiveN partitions the active vertices by owner across n ranks,
@@ -325,10 +312,28 @@ func resolveTraceLabels(opts []Options) {
 // superstep boundary: a final checkpoint is captured when possible and the
 // partial result is returned with a *RunAbortedError.
 func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Options) (HeteroResult, error) {
-	start := time.Now()
 	if err := validateRunArgs(app, g); err != nil {
 		return HeteroResult{}, err
 	}
+	return runGroup(app, g, assign, deviceOpts, func(opt Options, rank int, assign []int32, ep *comm.Endpoint[float32]) (device[float32], error) {
+		return newDeviceF32(app, g, opt, rank, assign, ep)
+	})
+}
+
+// program is what the supervisor needs of an app beyond its rank engines.
+type program interface {
+	Profile() machine.AppProfile
+	Init(g *graph.CSR) []graph.VertexID
+}
+
+// newDevice builds one rank's engine over assign on endpoint ep.
+type newDevice[T any] func(opt Options, rank int, assign []int32, ep *comm.Endpoint[T]) (device[T], error)
+
+// runGroup validates and wires a group run — interconnect, robustness
+// settings, rank engines, checkpoint coordinator, durable store, cold-start
+// resume — and hands it to the supervisor.
+func runGroup[T any](app program, g *graph.CSR, assign []int32, deviceOpts []Options, newDev newDevice[T]) (HeteroResult, error) {
+	start := time.Now()
 	opts, err := expandDeviceGroup(deviceOpts)
 	if err != nil {
 		return HeteroResult{}, err
@@ -337,7 +342,7 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 	if err := validAssign(g, assign, n); err != nil {
 		return HeteroResult{}, err
 	}
-	net, err := comm.NewGroupNet[float32](machine.PCIe(), app.Profile().MsgBytes, n)
+	net, err := comm.NewGroupNet[T](machine.PCIe(), app.Profile().MsgBytes, n)
 	if err != nil {
 		return HeteroResult{}, err
 	}
@@ -381,30 +386,26 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 		opts[r].StragglerPolicy = cfg.stragglerPolicy
 	}
 	resolveTraceLabels(opts)
-	devs := make([]*deviceF32, n)
-	for r := 0; r < n; r++ {
-		ep, err := net.Endpoint(r)
-		if err != nil {
-			return HeteroResult{}, err
-		}
-		devs[r], err = newDeviceF32(app, g, opts[r], r, assign, ep)
-		if err != nil {
-			return HeteroResult{}, err
-		}
+	h := &supervisor[T]{
+		g: g, assign: assign, net: net, cfg: cfg, opts: opts, newDev: newDev,
+		n: n, members: allRanks(n), downStep: map[int]int64{},
+		softDown: map[int]int64{}, suspects: map[int]bool{},
+		start: start, lastRejoin: -1,
 	}
-	maxIter := devs[0].opt.MaxIterations
-	for r := 1; r < n; r++ {
-		if devs[r].opt.MaxIterations < maxIter {
-			maxIter = devs[r].opt.MaxIterations
-		}
+	devs, err := h.build(h.members, assign, true)
+	if err != nil {
+		return HeteroResult{}, err
+	}
+	h.maxIter = int64(devs[0].shared().opt.MaxIterations)
+	for _, d := range devs[1:] {
+		h.maxIter = min(h.maxIter, int64(d.shared().opt.MaxIterations))
 	}
 
 	// Checkpointing (in-memory or durable), resume, and rejoin all need the
 	// app to snapshot/restore its state.
-	var snapper checkpoint.Snapshotter
 	if cfg.every > 0 || cfg.dir != "" {
 		var ok bool
-		if snapper, ok = app.(checkpoint.Snapshotter); !ok {
+		if h.snapper, ok = app.(checkpoint.Snapshotter); !ok {
 			field := "CheckpointEvery"
 			if cfg.every == 0 {
 				field = "CheckpointDir"
@@ -415,9 +416,8 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 			}
 		}
 	}
-	var store *checkpoint.Store
 	if cfg.dir != "" {
-		store, err = checkpoint.OpenStore(cfg.dir, checkpoint.StoreOptions{
+		h.store, err = checkpoint.OpenStore(cfg.dir, checkpoint.StoreOptions{
 			Retain: cfg.retain,
 			Rank:   0, // the host owns the storage path
 			Fault:  cfg.inj,
@@ -430,18 +430,17 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 	// Init always runs (it sizes the state arrays); a cold-start resume then
 	// overwrites the freshly initialized state with the restored snapshot and
 	// takes its frontiers from the checkpoint instead of Init's active set.
-	active := app.Init(g)
-	actives := splitActiveN(active, assign, n)
+	actives := splitActiveN(app.Init(g), assign, n)
 	var (
 		resumeFrom int64
 		resumedGen uint64
 	)
 	if cfg.resume {
-		snap, gen, err := store.Load()
+		snap, gen, err := h.store.Load()
 		if err != nil {
 			return HeteroResult{}, &InvalidOptionsError{Field: "Resume", Reason: err.Error()}
 		}
-		if err := snapper.Restore(snap.State); err != nil {
+		if err := h.snapper.Restore(snap.State); err != nil {
 			return HeteroResult{}, fmt.Errorf("core: resume from %s gen %d: %w", cfg.dir, gen, err)
 		}
 		// Re-split the merged frontier by the run's own assignment: the
@@ -457,29 +456,21 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 		})
 	}
 
-	var coord *checkpoint.Coordinator
 	if cfg.every > 0 {
-		coord, err = checkpoint.NewGroupCoordinator(snapper, n, cfg.every, cfg.timeout)
+		h.coord, err = checkpoint.NewGroupCoordinator(h.snapper, n, cfg.every, cfg.timeout)
 		if err != nil {
 			return HeteroResult{}, err
 		}
-		coord.SetStore(store)
-		coord.SetSink(cfg.sink)
+		h.coord.SetStore(h.store)
+		h.coord.SetSink(cfg.sink)
 		// Superstep-0 snapshot (or the restored superstep's, on resume),
 		// taken before the rank loops start: recovery is possible from any
 		// point of the run, including a failure in the very first superstep.
-		if err := coord.InitialAt(resumeFrom, actives...); err != nil {
+		if err := h.coord.InitialAt(resumeFrom, actives...); err != nil {
 			return HeteroResult{}, err
 		}
 	}
 
-	h := &heteroF32{
-		app: app, g: g, assign: assign, net: net, cfg: cfg, opts: opts,
-		snapper: snapper, coord: coord, store: store,
-		n: n, members: allRanks(n), downStep: map[int]int64{},
-		softDown: map[int]int64{}, suspects: map[int]bool{},
-		maxIter: maxIter, start: start, lastRejoin: -1,
-	}
 	if cfg.stragglerThreshold > 0 {
 		h.health = newHealthScorer(n, cfg.stragglerThreshold)
 	}
@@ -488,40 +479,39 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 	h.res.FailedSuperstep = -1
 	h.res.DiskResumed = cfg.resume
 	h.res.ResumedGeneration = resumedGen
+	h.res.ResumedSuperstep = resumeFrom
+	var handshake func(*comm.Endpoint[T]) error
 	if cfg.resume {
-		h.res.ResumedSuperstep = resumeFrom
-	}
-	var handshake func(*deviceF32) error
-	if cfg.resume {
-		handshake = func(d *deviceF32) error {
+		handshake = func(ep *comm.Endpoint[T]) error {
 			// All ranks must have restored the same store generation, and
 			// from here on exchange rounds (and the fault plan's step
 			// indices) count absolute supersteps.
-			if _, err := d.ep.ResumeHandshake(resumedGen); err != nil {
+			if _, err := ep.ResumeHandshake(resumedGen); err != nil {
 				return err
 			}
-			d.ep.SetStep(resumeFrom)
+			ep.SetStep(resumeFrom)
 			return nil
 		}
 	}
 	return h.run(devs, actives, resumeFrom, handshake)
 }
 
-// heteroF32 supervises one heterogeneous run: it drives lockstep segments,
-// attributes failures by quorum, degrades to the surviving subset, and
-// (with Options.Rejoin) heals the run by restarting the failed ranks and
-// re-admitting them at a superstep barrier under a new comm epoch.
-type heteroF32 struct {
-	app     AppF32
+// supervisor runs one group: it drives lockstep segments, attributes
+// failures by quorum, degrades to the surviving subset (down to a lone
+// survivor, which is a 1-member group), and (with Options.Rejoin) heals the
+// run by restarting the failed ranks and re-admitting them at a superstep
+// barrier under a new comm epoch.
+type supervisor[T any] struct {
 	g       *graph.CSR
 	assign  []int32
-	net     *comm.Net[float32]
+	net     *comm.Net[T]
 	cfg     robustnessConfig
 	opts    []Options
+	newDev  newDevice[T]
 	snapper checkpoint.Snapshotter
 	coord   *checkpoint.Coordinator
 	store   *checkpoint.Store
-	maxIter int
+	maxIter int64
 	start   time.Time
 
 	n        int
@@ -537,21 +527,43 @@ type heteroF32 struct {
 	suspects map[int]bool
 
 	res  HeteroResult
-	exec float64 // accumulated compute seconds (lockstep maxes + degraded windows)
+	exec float64 // accumulated compute seconds (lockstep maxes + degraded segments)
 	// lastRejoin guards rejoin progress: a new rejoin only happens at a
 	// strictly later superstep, so a deterministically failing rejoin cannot
 	// loop forever (at least one degraded superstep separates attempts,
 	// bounded by maxIter).
 	lastRejoin int64
-	// segRec collects per-rank results of a degraded multi-survivor segment;
-	// folded into res.Recovery when the segment ends. recBase is the
-	// Recovery iteration count at segment start (trace indexing).
+	// segRec collects per-rank results of a degraded segment; folded into
+	// res.Recovery when the segment ends. recBase is the Recovery
+	// superstep count at segment start (trace indexing).
 	segRec  []Result
 	recBase int64
 }
 
+// build constructs fresh engines for ranks over assign, on the current
+// comm epoch's endpoints. Unarmed engines run without the fault injector:
+// a degraded segment replays checkpointed supersteps, and re-firing the
+// plan's events against it would kill recovery.
+func (h *supervisor[T]) build(ranks []int, assign []int32, armed bool) ([]device[T], error) {
+	devs := make([]device[T], h.n)
+	for _, r := range ranks {
+		ep, err := h.net.Endpoint(r)
+		if err != nil {
+			return nil, err
+		}
+		opt := h.opts[r]
+		if !armed {
+			opt.Fault = nil
+		}
+		if devs[r], err = h.newDev(opt, r, assign, ep); err != nil {
+			return nil, err
+		}
+	}
+	return devs, nil
+}
+
 // down returns the currently failed ranks, sorted ascending.
-func (h *heteroF32) down() []int {
+func (h *supervisor[T]) down() []int {
 	var d []int
 	for r := range h.downStep {
 		d = append(d, r)
@@ -561,7 +573,7 @@ func (h *heteroF32) down() []int {
 }
 
 // softRanks returns the currently soft-degraded ranks, sorted ascending.
-func (h *heteroF32) softRanks() []int {
+func (h *supervisor[T]) softRanks() []int {
 	var d []int
 	for r := range h.softDown {
 		d = append(d, r)
@@ -572,7 +584,7 @@ func (h *heteroF32) softRanks() []int {
 
 // recomputeMembers rebuilds the owning membership: every rank that is
 // neither dead nor soft-degraded, ascending.
-func (h *heteroF32) recomputeMembers() {
+func (h *supervisor[T]) recomputeMembers() {
 	h.members = nil
 	for r := 0; r < h.n; r++ {
 		if _, dead := h.downStep[r]; dead {
@@ -588,7 +600,7 @@ func (h *heteroF32) recomputeMembers() {
 // ownerAssign returns the effective vertex-ownership vector: h.assign with
 // every vertex of a dead or soft-degraded rank reassigned round-robin to the
 // current owning members. At full ownership it is h.assign itself.
-func (h *heteroF32) ownerAssign() []int32 {
+func (h *supervisor[T]) ownerAssign() []int32 {
 	if len(h.downStep) == 0 && len(h.softDown) == 0 {
 		return h.assign
 	}
@@ -608,7 +620,7 @@ func (h *heteroF32) ownerAssign() []int32 {
 // nextBarrier returns the first checkpoint-cadence boundary strictly after
 // `from` — where the supervisor examines health verdicts under an active
 // straggler policy (cfg.every > 0 is validated up front).
-func (h *heteroF32) nextBarrier(from int64) int64 {
+func (h *supervisor[T]) nextBarrier(from int64) int64 {
 	every := int64(h.cfg.every)
 	return (from/every + 1) * every
 }
@@ -616,7 +628,7 @@ func (h *heteroF32) nextBarrier(from int64) int64 {
 // observeHealth folds a clean segment's charged per-rank superstep times
 // into the health scorer, surfacing state transitions as events and the
 // current classification as gauges.
-func (h *heteroF32) observeHealth(seg segmentOutcome, from int64) {
+func (h *supervisor[T]) observeHealth(seg segmentOutcome, from int64) {
 	if h.health == nil {
 		return
 	}
@@ -649,7 +661,7 @@ func (h *heteroF32) observeHealth(seg segmentOutcome, from int64) {
 // confirmedStragglers returns the owning ranks the scorer has confirmed as
 // stragglers and the active policy allows demoting — never the whole
 // membership, since someone has to own the vertices.
-func (h *heteroF32) confirmedStragglers() []int {
+func (h *supervisor[T]) confirmedStragglers() []int {
 	if h.health == nil || h.cfg.stragglerPolicy == StragglerOff {
 		return nil
 	}
@@ -671,7 +683,7 @@ func (h *heteroF32) confirmedStragglers() []int {
 // and reports whether every soft-degraded rank has stayed normal long
 // enough to rehabilitate. Partial returns are not attempted: the group
 // restores to full membership in one barrier.
-func (h *heteroF32) rehabReady(from, endStep int64) bool {
+func (h *supervisor[T]) rehabReady(from, endStep int64) bool {
 	if h.cfg.stragglerPolicy != StragglerDemoteRehab || len(h.softDown) == 0 {
 		return false
 	}
@@ -691,7 +703,7 @@ func (h *heteroF32) rehabReady(from, endStep int64) bool {
 // recordHealthGauges exports each rank's health classification and EWMA
 // superstep latency as live gauges (hetgraph_rank_health_<r>: 0 healthy,
 // 1 suspect, 2 straggler; hetgraph_rank_ewma_ns_<r>).
-func (h *heteroF32) recordHealthGauges() {
+func (h *supervisor[T]) recordHealthGauges() {
 	if h.health == nil {
 		return
 	}
@@ -714,7 +726,7 @@ func (h *heteroF32) recordHealthGauges() {
 // The fault injector stays armed: the demoted stretch runs forward from the
 // barrier, not a checkpoint replay, so the plan's remaining events must
 // still fire.
-func (h *heteroF32) softDegrade(stragglers []int, step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
+func (h *supervisor[T]) softDegrade(stragglers []int, step int64, frontier []graph.VertexID) ([]device[T], func(*comm.Endpoint[T]) error, error) {
 	for _, s := range stragglers {
 		h.softDown[s] = step
 	}
@@ -725,26 +737,13 @@ func (h *heteroF32) softDegrade(stragglers []int, step int64, frontier []graph.V
 	if err := h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...); err != nil {
 		return nil, nil, fmt.Errorf("soft-degrade checkpoint at superstep %d: %w", step, err)
 	}
-	sub := h.ownerAssign()
 	h.net.NewEpoch()
 	h.net.SetMembers(h.members)
 	h.coord.Reopen()
 	h.coord.SetMembers(h.members)
-	devs := make([]*deviceF32, h.n)
-	for _, r := range h.members {
-		ep, err := h.net.Endpoint(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		devs[r], err = newDeviceF32(h.app, h.g, h.opts[r], r, sub, ep)
-		if err != nil {
-			return nil, nil, fmt.Errorf("soft-degrade engine restart, rank %d: %w", r, err)
-		}
-	}
-	resume := step
-	handshake := func(d *deviceF32) error {
-		d.ep.SetStep(resume)
-		return nil
+	devs, err := h.build(h.members, h.ownerAssign(), true)
+	if err != nil {
+		return nil, nil, fmt.Errorf("soft-degrade engine restart: %w", err)
 	}
 	for _, s := range stragglers {
 		emitEvent(h.cfg.sink, metrics.Event{
@@ -758,7 +757,17 @@ func (h *heteroF32) softDegrade(stragglers []int, step int64, frontier []graph.V
 	sort.Ints(h.res.SoftDegraded)
 	h.res.SoftDegradeSuperstep = step
 	h.recordHealthGauges()
-	return devs, handshake, nil
+	return devs, resumeAt[T](step), nil
+}
+
+// resumeAt is the handshake of a segment that restarts at superstep step
+// on the current epoch: exchange rounds (and the fault plan's step indices)
+// continue from there.
+func resumeAt[T any](step int64) func(*comm.Endpoint[T]) error {
+	return func(ep *comm.Endpoint[T]) error {
+		ep.SetStep(step)
+		return nil
+	}
 }
 
 // containsInt reports whether xs contains x.
@@ -771,10 +780,35 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
+// storeFailure turns a failed durable commit into the run-aborting error
+// (nil for any other error). A failed commit is not a device failure: the
+// storage path is shared, so degrading would keep hitting the same broken
+// disk. It is treated like a process crash — the previously committed
+// generations are intact and a restart with Options.Resume picks the run
+// back up.
+func (h *supervisor[T]) storeFailure(rank int, err error) error {
+	var serr *checkpoint.StoreError
+	if !errors.As(err, &serr) {
+		return nil
+	}
+	aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
+	emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: rank, Superstep: -1, Detail: aerr.Error()})
+	return aerr
+}
+
+// merged concatenates the members' frontiers.
+func (h *supervisor[T]) merged(frontier [][]graph.VertexID) []graph.VertexID {
+	var m []graph.VertexID
+	for _, r := range h.members {
+		m = append(m, frontier[r]...)
+	}
+	return m
+}
+
 // run is the supervisor loop: lockstep segments over the live membership,
 // separated by quorum failure attribution, degraded continuation on the
 // surviving subset, and (in rejoin mode) heals back to full membership.
-func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int64, handshake func(*deviceF32) error) (HeteroResult, error) {
+func (h *supervisor[T]) run(devs []device[T], actives [][]graph.VertexID, from int64, handshake func(*comm.Endpoint[T]) error) (HeteroResult, error) {
 	for {
 		// A soft-degraded run (stragglers demoted, membership reduced but no
 		// rank dead) is NOT degraded in the hard sense: it keeps recording
@@ -784,8 +818,8 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 		until := h.maxIter
 		healable := false
 		if degraded {
-			if heal, ok := h.healStep(from); ok && heal < int64(h.maxIter) {
-				until = int(heal)
+			if heal, ok := h.healStep(from); ok && heal < h.maxIter {
+				until = heal
 				healable = true
 			}
 			h.segRec = make([]Result, h.n)
@@ -794,11 +828,9 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 			// Bound the segment at the next checkpoint barrier: demotion and
 			// rehabilitation both act at barriers, so health verdicts must be
 			// examined there rather than once at the end of the run.
-			if b := h.nextBarrier(from); b < int64(until) {
-				until = int(b)
-			}
+			until = min(until, h.nextBarrier(from))
 		}
-		seg := h.runSegment(h.members, devs, actives, from, until, handshake, degraded)
+		seg := h.runSegment(devs, actives, from, until, handshake, degraded)
 		handshake = nil
 
 		// Cooperative abort: a rank saw Options.Abort closed at a superstep
@@ -840,132 +872,96 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				clean = false
 			}
 		}
-		if clean {
-			if !degraded {
-				// Clean segment end: convergence, maxIter, or a
-				// straggler-policy checkpoint barrier.
-				h.exec += lockstepSeconds(seg.iterTimes, lead, len(seg.iterTimes[lead]))
-				endStep := from + seg.iters[lead]
-				h.observeHealth(seg, from)
-				conv := true
-				for _, r := range h.members {
-					if !h.res.Dev[r].Converged {
-						conv = false
-					}
+		if clean && !degraded {
+			// Clean segment end: convergence, maxIter, or a
+			// straggler-policy checkpoint barrier.
+			h.exec += lockstepSeconds(seg.iterTimes, lead, len(seg.iterTimes[lead]))
+			endStep := from + seg.iters[lead]
+			h.observeHealth(seg, from)
+			conv := true
+			for _, r := range h.members {
+				if !h.res.Dev[r].Converged {
+					conv = false
 				}
-				if conv || int(endStep) >= h.maxIter {
-					h.res.Iterations = endStep
-					h.res.Converged = conv
-					return h.finalize(), nil
-				}
-				// The segment stopped at a straggler-policy barrier: act on
-				// the scorer's verdicts, then continue lockstep.
-				var merged []graph.VertexID
-				for _, r := range h.members {
-					merged = append(merged, seg.frontier[r]...)
-				}
-				if sl := h.confirmedStragglers(); len(sl) > 0 {
-					devs2, hs, err := h.softDegrade(sl, endStep, merged)
-					if err != nil {
-						var serr *checkpoint.StoreError
-						if errors.As(err, &serr) {
-							aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-							emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-							return HeteroResult{}, aerr
-						}
-						return HeteroResult{}, fmt.Errorf("core: soft-degrade at superstep %d failed: %w", endStep, err)
-					}
-					devs = devs2
-					actives = splitActiveN(merged, h.ownerAssign(), h.n)
-					from = endStep
-					handshake = hs
-					continue
-				}
-				if h.rehabReady(from, endStep) {
-					devs2, hs, err := h.rehabilitate(endStep, merged)
-					if err != nil {
-						var serr *checkpoint.StoreError
-						if errors.As(err, &serr) {
-							aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-							emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-							return HeteroResult{}, aerr
-						}
-						for s := range h.softDown {
-							emitEvent(h.cfg.sink, metrics.Event{
-								Kind: metrics.EventRejoinFailed, Rank: s, Superstep: endStep,
-								Detail: fmt.Sprintf("rehabilitation failed: %v", err),
-							})
-						}
-						// Carry on soft-degraded; the next barrier retries.
-						actives = seg.frontier
-						from = endStep
-						continue
-					}
-					devs = devs2
-					actives = splitActiveN(merged, h.assign, h.n)
-					from = endStep
-					handshake = hs
-					continue
-				}
-				actives = seg.frontier
-				from = endStep
-				handshake = nil
-				continue
 			}
+			if conv || endStep >= h.maxIter {
+				h.res.Iterations = endStep
+				h.res.Converged = conv
+				return h.finalize(), nil
+			}
+			// The segment stopped at a straggler-policy barrier: act on
+			// the scorer's verdicts, then continue lockstep.
+			merged := h.merged(seg.frontier)
+			actives = seg.frontier
+			if sl := h.confirmedStragglers(); len(sl) > 0 {
+				devs2, hs, err := h.softDegrade(sl, endStep, merged)
+				if err != nil {
+					if aerr := h.storeFailure(0, err); aerr != nil {
+						return HeteroResult{}, aerr
+					}
+					return HeteroResult{}, fmt.Errorf("core: soft-degrade at superstep %d failed: %w", endStep, err)
+				}
+				devs, handshake = devs2, hs
+				actives = splitActiveN(merged, h.ownerAssign(), h.n)
+			} else if h.rehabReady(from, endStep) {
+				devs2, hs, err := h.rehabilitate(endStep, merged)
+				if err != nil {
+					if aerr := h.storeFailure(0, err); aerr != nil {
+						return HeteroResult{}, aerr
+					}
+					// Carry on soft-degraded; the next barrier retries.
+					for _, s := range h.softRanks() {
+						emitEvent(h.cfg.sink, metrics.Event{
+							Kind: metrics.EventRejoinFailed, Rank: s, Superstep: endStep,
+							Detail: fmt.Sprintf("rehabilitation failed: %v", err),
+						})
+					}
+				} else {
+					devs, handshake = devs2, hs
+					actives = splitActiveN(merged, h.assign, h.n)
+				}
+			}
+			from = endStep
+			continue
+		}
+		if clean {
 			executed := seg.iters[lead]
 			conv := h.foldDegraded(seg, lead)
 			endStep := from + executed
-			if healable && !conv && endStep == int64(until) {
-				// The fault plan declares every down rank recovered at this
-				// boundary: heal back to full membership.
-				var merged []graph.VertexID
-				for _, r := range h.members {
-					merged = append(merged, seg.frontier[r]...)
+			if !healable || conv || endStep != until {
+				h.res.Degraded = true
+				h.res.Iterations = endStep
+				h.res.Converged = conv
+				return h.finalize(), nil
+			}
+			// The fault plan declares every down rank recovered at this
+			// boundary: heal back to full membership.
+			merged := h.merged(seg.frontier)
+			devs2, hs, err := h.rejoin(endStep, merged)
+			if err != nil {
+				if aerr := h.storeFailure(0, err); aerr != nil {
+					return HeteroResult{}, aerr
 				}
-				devs2, hs, err := h.rejoin(endStep, merged)
-				if err != nil {
-					var serr *checkpoint.StoreError
-					if errors.As(err, &serr) {
-						aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-						emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-						return HeteroResult{}, aerr
-					}
-					for _, c := range h.down() {
-						emitEvent(h.cfg.sink, metrics.Event{
-							Kind: metrics.EventRejoinFailed, Rank: c, Superstep: endStep,
-							Detail: err.Error(),
-						})
-					}
-					// Carry on degraded; the lastRejoin guard stops an
-					// immediate identical retry.
-					h.lastRejoin = endStep
-					actives = seg.frontier
-					from = endStep
-					continue
+				for _, c := range h.down() {
+					emitEvent(h.cfg.sink, metrics.Event{
+						Kind: metrics.EventRejoinFailed, Rank: c, Superstep: endStep,
+						Detail: err.Error(),
+					})
 				}
-				devs = devs2
-				actives = splitActiveN(merged, h.assign, h.n)
-				from = endStep
-				handshake = hs
+				// Carry on degraded; the lastRejoin guard retries at the
+				// next superstep at the earliest.
+				h.lastRejoin = endStep
+				actives, from = seg.frontier, endStep
 				continue
 			}
-			h.res.Degraded = true
-			h.res.Iterations = endStep
-			h.res.Converged = conv
-			return h.finalize(), nil
+			devs, handshake = devs2, hs
+			actives, from = splitActiveN(merged, h.assign, h.n), endStep
+			continue
 		}
 
-		// A failed durable commit is not a device failure: the storage path
-		// is shared, so degrading would keep hitting the same broken disk.
-		// Treat it like a process crash — abort the whole run; the previously
-		// committed generations are intact and a restart with Options.Resume
-		// picks the run back up.
 		for _, r := range h.members {
-			var serr *checkpoint.StoreError
-			if errors.As(seg.runErr[r], &serr) {
-				err := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", seg.runErr[r])
-				emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: r, Superstep: -1, Detail: err.Error()})
-				return HeteroResult{}, err
+			if aerr := h.storeFailure(r, seg.runErr[r]); aerr != nil {
+				return HeteroResult{}, aerr
 			}
 		}
 
@@ -1057,122 +1053,33 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 		for _, c := range convicted {
 			h.downStep[c] = stepOf(c)
 		}
-		downs := h.down()
 		h.recomputeMembers()
 		h.res.FailedRank = convicted[0]
 		h.res.FailedSuperstep = stepOf(convicted[0])
 		h.res.ResumedSuperstep = snap.Superstep
-		h.res.FailedRanks = append([]int(nil), downs...)
+		h.res.FailedRanks = h.down()
 
-		if len(h.members) == 1 {
-			// A single survivor runs without the interconnect: a fresh
-			// single-device engine with no assignment, no endpoint, and no
-			// fault injection (the plan described the group run; re-firing
-			// its events against the survivor would kill recovery).
-			survivor := h.members[0]
-			ropt := h.opts[survivor]
-			ropt.Fault = nil
-			sd, err := newDeviceF32(h.app, h.g, ropt, 0, nil, nil)
-			if err != nil {
-				return HeteroResult{}, fmt.Errorf("core: device failure (%v) and recovery engine failed: %w", firstErr, err)
-			}
-			emitEvent(h.cfg.sink, metrics.Event{
-				Kind: metrics.EventDegraded, Rank: h.res.FailedRank, Superstep: snap.Superstep,
-				Detail: fmt.Sprintf("rank %d survives; restored checkpointed superstep %d, continuing single-device", survivor, snap.Superstep),
-			})
-
-			if !h.cfg.rejoin || len(downs) != 1 {
-				return h.runPermanentDegraded(sd, snap, firstErr)
-			}
-
-			// Rejoin mode: run the survivor superstep-at-a-time, polling the
-			// fault plan for the failed rank's recovery.
-			failed := downs[0]
-			w, err := h.runDegradedWindow(sd, failed, h.downStep[failed], snap)
-			if err != nil {
-				var serr *checkpoint.StoreError
-				if errors.As(err, &serr) {
-					aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-					emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-					return HeteroResult{}, aerr
-				}
-				return HeteroResult{}, fmt.Errorf("core: device failure (%v) and degraded continuation failed: %w", firstErr, err)
-			}
-			switch w.outcome {
-			case windowAborted:
-				emitEvent(h.cfg.sink, metrics.Event{
-					Kind: metrics.EventRunAborted, Rank: -1, Superstep: w.step,
-					Detail: fmt.Sprintf("cooperative abort during degraded window at superstep %d", w.step),
-				})
-				h.res.Degraded = true
-				h.res.Iterations = w.step
-				return h.finalize(), &RunAbortedError{Superstep: w.step}
-			case windowFinished:
-				h.res.Degraded = true
-				h.res.Iterations = w.step
-				h.res.Converged = w.converged
-				return h.finalize(), nil
-			}
-
-			// windowHealed: restart the failed rank, replay it from a fresh
-			// checkpoint at the rejoin boundary, and re-enter lockstep.
-			devs2, hs, err := h.rejoin(w.step, w.frontier)
-			if err != nil {
-				var serr *checkpoint.StoreError
-				if errors.As(err, &serr) {
-					aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-					emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-					return HeteroResult{}, aerr
-				}
-				emitEvent(h.cfg.sink, metrics.Event{
-					Kind: metrics.EventRejoinFailed, Rank: failed, Superstep: w.step,
-					Detail: err.Error(),
-				})
-				return h.runPermanentDegradedFrom(sd, w.step, w.frontier, firstErr)
-			}
-			devs = devs2
-			actives = splitActiveN(w.frontier, h.assign, h.n)
-			from = w.step
-			handshake = hs
-			continue
-		}
-
-		// Two or more survivors: re-partition the dead (and soft-degraded)
-		// ranks' vertices across the survivors and continue lockstep among
-		// them. The injector is suspended while degraded — the surviving
-		// subset replays checkpointed supersteps, and re-firing the plan's
-		// events against it would kill recovery; it is re-armed on heal.
+		// Re-partition the dead (and soft-degraded) ranks' vertices across
+		// the survivors and continue lockstep among them — a lone survivor
+		// is simply a 1-member group whose exchanges have no peers. The
+		// injector is suspended while degraded and re-armed on heal.
 		subAssign := h.ownerAssign()
 		h.net.NewEpoch()
 		h.net.SetMembers(h.members)
 		h.net.SetInjector(nil)
 		h.coord.Reopen()
 		h.coord.SetMembers(h.members)
-		sdevs := make([]*deviceF32, h.n)
-		for _, r := range h.members {
-			ropt := h.opts[r]
-			ropt.Fault = nil
-			ep, err := h.net.Endpoint(r)
-			if err != nil {
-				return HeteroResult{}, err
-			}
-			sdevs[r], err = newDeviceF32(h.app, h.g, ropt, r, subAssign, ep)
-			if err != nil {
-				return HeteroResult{}, fmt.Errorf("core: device failure (%v) and recovery engine failed: %w", firstErr, err)
-			}
+		devs, err = h.build(h.members, subAssign, false)
+		if err != nil {
+			return HeteroResult{}, fmt.Errorf("core: device failure (%v) and recovery engine failed: %w", firstErr, err)
 		}
 		emitEvent(h.cfg.sink, metrics.Event{
 			Kind: metrics.EventDegraded, Rank: h.res.FailedRank, Superstep: snap.Superstep,
 			Detail: fmt.Sprintf("ranks %v survive; restored checkpointed superstep %d, continuing %d-device", h.members, snap.Superstep, len(h.members)),
 		})
-		devs = sdevs
 		actives = splitActiveN(snap.MergedFrontier(), subAssign, h.n)
 		from = snap.Superstep
-		resumeStep := from
-		handshake = func(d *deviceF32) error {
-			d.ep.SetStep(resumeStep)
-			return nil
-		}
+		handshake = resumeAt[T](from)
 	}
 }
 
@@ -1241,7 +1148,7 @@ func severedPartition(members []int, runErr []error) (majority, minority []int, 
 
 // quorumBlame resolves which live ranks the segment's errors convict. It
 // returns the convicted ranks (sorted) and the first error observed.
-func (h *heteroF32) quorumBlame(seg segmentOutcome) ([]int, error) {
+func (h *supervisor[T]) quorumBlame(seg segmentOutcome) ([]int, error) {
 	votes := map[int]int{}
 	self := map[int]bool{}
 	voters := 0
@@ -1307,7 +1214,7 @@ func (h *heteroF32) quorumBlame(seg segmentOutcome) ([]int, error) {
 // healStep computes the earliest superstep boundary at which every down rank
 // is declared recovered by the fault plan (the max of the per-rank recovery
 // steps). ok is false when any down rank never recovers.
-func (h *heteroF32) healStep(from int64) (int64, bool) {
+func (h *supervisor[T]) healStep(from int64) (int64, bool) {
 	if !h.cfg.rejoin || len(h.downStep) == 0 {
 		return 0, false
 	}
@@ -1330,10 +1237,10 @@ func (h *heteroF32) healStep(from int64) (int64, bool) {
 	return heal, true
 }
 
-// foldDegraded accumulates a degraded multi-survivor segment's per-rank
+// foldDegraded accumulates a degraded segment's per-rank
 // scratch results into res.Recovery, advances the degraded counters, and
 // reports whether the segment converged.
-func (h *heteroF32) foldDegraded(seg segmentOutcome, lead int) bool {
+func (h *supervisor[T]) foldDegraded(seg segmentOutcome, lead int) bool {
 	executed := seg.iters[lead]
 	conv := false
 	for _, r := range h.members {
@@ -1349,316 +1256,15 @@ func (h *heteroF32) foldDegraded(seg segmentOutcome, lead int) bool {
 		h.res.Recovery.Converged = true
 	}
 	h.res.DegradedSupersteps += executed
-	h.exec += lockstepSeconds(seg.iterTimes, lead, int(executed))
+	if len(h.members) == 1 {
+		// A lone survivor has no lockstep max to take: its compute is its
+		// own phase totals, summed the way a single-device Result is.
+		p := h.segRec[lead].Phases
+		h.exec += p.Generate + p.Process + p.Update
+	} else {
+		h.exec += lockstepSeconds(seg.iterTimes, lead, int(executed))
+	}
 	return conv
-}
-
-// segmentOutcome is one lockstep segment's result, indexed by rank:
-// per-rank errors, per-iteration compute times (indexed relative to the
-// segment's start), supersteps recorded, the frontier each rank ended at,
-// and — when Options.Abort stopped a rank — the abort boundary.
-type segmentOutcome struct {
-	runErr    []error
-	iterTimes [][]float64
-	iters     []int64
-	frontier  [][]graph.VertexID
-	abortStep []int64
-	// healthNS holds each rank's charged per-superstep time (injected stall
-	// plus modeled compute — the same quantity charged into iterTimes, and
-	// deliberately not the host wall clock, so health verdicts are
-	// deterministic and immune to runner noise), index-aligned with
-	// iterTimes; collected only when the health scorer is armed. Each rank
-	// goroutine appends only to its own slice.
-	healthNS [][]int64
-}
-
-// segmentAbortStep reports the boundary a cooperative abort stopped the
-// segment at (the earliest live rank's, when several recorded one).
-func segmentAbortStep(seg segmentOutcome, members []int) (int64, bool) {
-	step, ok := int64(-1), false
-	for _, r := range members {
-		var aerr *RunAbortedError
-		if errors.As(seg.runErr[r], &aerr) {
-			if !ok || aerr.Superstep < step {
-				step = aerr.Superstep
-			}
-			ok = true
-		}
-	}
-	return step, ok
-}
-
-// runSegment runs the member rank loops in lockstep from superstep `from`
-// until convergence, the `until` boundary, an abort, or a failure.
-// handshake, when non-nil, runs on each rank before its loop (resume or
-// rejoin barrier agreement). degraded selects the record target: the
-// per-rank Dev results at full membership, the Recovery scratch otherwise.
-func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]graph.VertexID, from int64, until int, handshake func(*deviceF32) error, degraded bool) segmentOutcome {
-	out := segmentOutcome{
-		runErr:    make([]error, h.n),
-		iterTimes: make([][]float64, h.n),
-		iters:     make([]int64, h.n),
-		frontier:  make([][]graph.VertexID, h.n),
-		abortStep: make([]int64, h.n),
-		healthNS:  make([][]int64, h.n),
-	}
-	for r := range out.abortStep {
-		out.abortStep[r] = -1
-	}
-	rec := func(r int) *Result {
-		if degraded {
-			return &h.segRec[r]
-		}
-		return &h.res.Dev[r]
-	}
-	traceBase := int64(0)
-	if degraded {
-		traceBase = h.recBase
-	}
-	startIters := make([]int64, h.n)
-	for _, r := range members {
-		startIters[r] = rec(r).Iterations
-	}
-	var wg sync.WaitGroup
-	for _, m := range members {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			d := devs[r]
-			// On any error (or an abort), declare this rank dead on both the
-			// interconnect and the checkpoint barrier, so the peers fail
-			// fast wherever they are waiting instead of deadlocking.
-			defer func() {
-				if out.runErr[r] != nil {
-					d.ep.Abort()
-					if h.coord != nil {
-						h.coord.MarkDead(r)
-					}
-				}
-			}()
-			if handshake != nil {
-				if err := handshake(d); err != nil {
-					out.runErr[r] = err
-					return
-				}
-			}
-			active := actives[r]
-			fixed := IsFixedActive(d.app)
-			initial := active
-			measured := d.opt.Metrics != nil
-			scored := h.health != nil && !degraded
-			for iter := int(from); iter < until; iter++ {
-				if abortRequested(d.opt.Abort) {
-					out.abortStep[r] = int64(iter)
-					out.frontier[r] = active
-					out.runErr[r] = &RunAbortedError{Superstep: int64(iter)}
-					return
-				}
-				// Gray-fault injection: a slow/gslow event stalls this rank
-				// before its local compute. The stall is charged into the
-				// rank's superstep time below, so lockstep makes the whole
-				// group wait — exactly the signal the health scorer feeds on
-				// — while its own exchange deadline only starts afterwards, so
-				// a stall under the timeout is never misdiagnosed as death.
-				// Like the rest of the plan, suspended during checkpoint
-				// replay (degraded segments).
-				var stallSec float64
-				if !degraded {
-					if stall := h.cfg.inj.Slow(r, int64(iter)); stall > 0 {
-						time.Sleep(stall)
-						stallSec = stall.Seconds()
-					}
-				}
-				d.step = int64(iter)
-				var c machine.Counters
-				var pt PhaseTimes
-				c.Iterations = 1
-				c.BufferResetBytes = d.buf.Reset()
-				// Generate (local inserts + remote accumulation).
-				var t time.Time
-				if measured {
-					t = time.Now()
-				}
-				if err := d.generate(active, &c); err != nil {
-					out.runErr[r] = err
-					return
-				}
-				if measured {
-					d.wall.generate = time.Since(t).Nanoseconds()
-				}
-				// Implicit remote message exchange (Fig. 2). It carries this
-				// iteration's active count, which doubles as the BSP
-				// termination allreduce: when no vertex was active anywhere,
-				// nothing was generated and the run is over. (Its wall time —
-				// including the lockstep wait for the peers — is measured by
-				// comm and copied into d.wall by exchange.)
-				remoteActive, err := d.exchange(int64(len(active)), &c, &pt)
-				if err != nil {
-					out.runErr[r] = err
-					return
-				}
-				if int64(len(active))+remoteActive == 0 && !fixed {
-					// The convergence-detection superstep carries only
-					// generate + exchange work.
-					d.recordIter(rec(r), c, pt)
-					d.recordMetrics(d.step, c, pt)
-					rec(r).Converged = true
-					out.frontier[r] = active
-					return
-				}
-				// Process + update locally.
-				if measured {
-					t = time.Now()
-				}
-				deliveries, err := d.process(&c)
-				if err != nil {
-					out.runErr[r] = err
-					return
-				}
-				if measured {
-					now := time.Now()
-					d.wall.process = now.Sub(t).Nanoseconds()
-					t = now
-				}
-				next, err := d.update(deliveries, &c)
-				if err != nil {
-					out.runErr[r] = err
-					return
-				}
-				if measured {
-					d.wall.update = time.Since(t).Nanoseconds()
-				}
-				compute := d.phaseTimes(c)
-				pt.Generate = compute.Generate
-				pt.Process = compute.Process
-				pt.Update = compute.Update
-
-				d.recordTrace(traceBase+rec(r).Iterations, c, pt)
-				d.recordMetrics(d.step, c, pt)
-				d.recordIter(rec(r), c, pt)
-				// An injected stall is real superstep time on this rank: it
-				// flows into the lockstep max, so mitigation (demoting the
-				// straggler) shows up as a simulated-time win. Float32 results
-				// are untouched — the stall never enters the reductions.
-				charged := stallSec + pt.Generate + pt.Process + pt.Update
-				out.iterTimes[r] = append(out.iterTimes[r], charged)
-				// The health sample is this same charged time, not a host
-				// wall measurement: modeled compute is a deterministic
-				// function of the work counts, so identical runs reach
-				// identical verdicts at identical supersteps — and a loaded
-				// runner (or the race detector) can never fake a straggler.
-				// The lockstep exchange wait is excluded either way: it
-				// reflects the slowest peer, and folding it in would smear
-				// one rank's slowness onto every healthy rank's score.
-				if scored {
-					out.healthNS[r] = append(out.healthNS[r], int64(charged*1e9))
-				}
-				if fixed {
-					active = initial
-				} else {
-					active = next
-				}
-				// Superstep iter is complete; checkpoint at the boundary if
-				// due. `active` is exactly this rank's frontier for the next
-				// superstep, which is what the snapshot must carry.
-				if h.coord != nil {
-					if completed := int64(iter) + 1; h.coord.Due(completed) {
-						if err := h.coord.Checkpoint(r, completed, active); err != nil {
-							out.runErr[r] = err
-							return
-						}
-					}
-				}
-			}
-			out.frontier[r] = active
-		}(m)
-	}
-	wg.Wait()
-	for _, r := range members {
-		out.iters[r] = rec(r).Iterations - startIters[r]
-	}
-	return out
-}
-
-// windowOutcome is how a rejoin-mode degraded window ended.
-type windowOutcome int
-
-const (
-	// windowHealed: the fault plan declared the failed rank recovered; the
-	// supervisor should rejoin it.
-	windowHealed windowOutcome = iota
-	// windowFinished: the run ran out (converged or maxIter) still degraded.
-	windowFinished
-	// windowAborted: Options.Abort stopped the window at a boundary.
-	windowAborted
-)
-
-// windowResult is a degraded window's outcome: the absolute superstep it
-// stopped at and the merged frontier for that superstep.
-type windowResult struct {
-	outcome   windowOutcome
-	step      int64
-	frontier  []graph.VertexID
-	converged bool
-}
-
-// runDegradedWindow drives the lone survivor superstep-at-a-time from the
-// restored checkpoint, checkpointing at the configured cadence, until the
-// fault plan declares the failed rank recovered, the run finishes, or an
-// abort lands. Degraded supersteps accumulate into res.Recovery.
-func (h *heteroF32) runDegradedWindow(sd *deviceF32, failed int, failedStep int64, snap *checkpoint.Snapshot) (windowResult, error) {
-	frontier := snap.MergedFrontier()
-	step := snap.Superstep
-	fixed := IsFixedActive(h.app)
-	initial := frontier
-	for {
-		if abortRequested(h.cfg.abort) {
-			// Final checkpoint at the abort boundary: the window is
-			// single-party, so the snapshot is always consistent.
-			if h.coord != nil {
-				_ = h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...)
-			}
-			return windowResult{outcome: windowAborted, step: step, frontier: frontier}, nil
-		}
-		if len(frontier) == 0 && !fixed {
-			return windowResult{outcome: windowFinished, step: step, converged: true}, nil
-		}
-		if int(step) >= h.maxIter {
-			return windowResult{outcome: windowFinished, step: step}, nil
-		}
-		// Heal check before running superstep `step`: the rank rejoins at
-		// the boundary the plan declares it recovered at. The lastRejoin
-		// guard keeps a deterministically failing rejoin from looping.
-		if step > h.lastRejoin && h.cfg.inj.RecoverAt(failed, failedStep, step) {
-			return windowResult{outcome: windowHealed, step: step, frontier: frontier}, nil
-		}
-		sd.step = step
-		next, c, pt, err := sd.runIteration(frontier)
-		if err != nil {
-			err = fmt.Errorf("core: superstep %d: %w", step, err)
-			emitEvent(sd.opt.Metrics, metrics.Event{
-				Kind: metrics.EventSuperstepError, Rank: sd.rank,
-				Superstep: step, Detail: err.Error(),
-			})
-			return windowResult{}, err
-		}
-		sd.recordTrace(h.res.Recovery.Iterations, c, pt)
-		sd.recordMetrics(step, c, pt)
-		sd.recordIter(&h.res.Recovery, c, pt)
-		h.exec += pt.Generate + pt.Process + pt.Update
-		h.res.DegradedSupersteps++
-		step++
-		if fixed {
-			frontier = initial
-		} else {
-			frontier = next
-		}
-		if h.coord != nil && h.coord.Due(step) {
-			if err := h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...); err != nil {
-				return windowResult{}, err
-			}
-		}
-	}
 }
 
 // restoreFullMembership re-admits every rank at superstep `step`: it
@@ -1671,16 +1277,15 @@ func (h *heteroF32) runDegradedWindow(sd *deviceF32, failed int, failedStep int6
 // original assignment. The returned handshake runs RejoinHandshake on each
 // rank before the next segment. Shared by rejoin (dead ranks healing) and
 // rehabilitate (soft-degraded stragglers returning).
-func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID) (devs []*deviceF32, handshake func(*deviceF32) error, gen uint64, epoch uint64, err error) {
-	devs = make([]*deviceF32, h.n)
+func (h *supervisor[T]) restoreFullMembership(step int64, frontier []graph.VertexID) (devs []device[T], handshake func(*comm.Endpoint[T]) error, gen uint64, epoch uint64, err error) {
 	if err := h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...); err != nil {
-		return devs, nil, 0, 0, fmt.Errorf("rejoin checkpoint at superstep %d: %w", step, err)
+		return nil, nil, 0, 0, fmt.Errorf("rejoin checkpoint at superstep %d: %w", step, err)
 	}
 	// The replay: the restarted ranks load the boundary snapshot. The arrays
 	// are shared in-process, so this also re-verifies the snapshot decodes.
 	snap := h.coord.Latest()
 	if err := h.snapper.Restore(snap.State); err != nil {
-		return devs, nil, 0, 0, fmt.Errorf("rejoin replay at superstep %d: %w", step, err)
+		return nil, nil, 0, 0, fmt.Errorf("rejoin replay at superstep %d: %w", step, err)
 	}
 	if h.store != nil {
 		if gens := h.store.Generations(); len(gens) > 0 {
@@ -1692,21 +1297,14 @@ func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID)
 	h.net.SetInjector(h.cfg.inj)
 	h.coord.Reopen()
 	h.coord.SetMembers(allRanks(h.n))
-	for r := 0; r < h.n; r++ {
-		ep, err := h.net.Endpoint(r)
-		if err != nil {
-			return devs, nil, 0, 0, err
-		}
-		devs[r], err = newDeviceF32(h.app, h.g, h.opts[r], r, h.assign, ep)
-		if err != nil {
-			return devs, nil, 0, 0, fmt.Errorf("rejoin engine restart, rank %d: %w", r, err)
-		}
+	if devs, err = h.build(allRanks(h.n), h.assign, true); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("rejoin engine restart: %w", err)
 	}
-	handshake = func(d *deviceF32) error {
-		if err := d.ep.RejoinHandshake(epoch, gen, step); err != nil {
+	handshake = func(ep *comm.Endpoint[T]) error {
+		if err := ep.RejoinHandshake(epoch, gen, step); err != nil {
 			return err
 		}
-		d.ep.SetStep(step)
+		ep.SetStep(step)
 		return nil
 	}
 	return devs, handshake, gen, epoch, nil
@@ -1714,10 +1312,10 @@ func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID)
 
 // rejoin restarts the down ranks for re-admission at superstep `step`,
 // returning the run to full-group lockstep.
-func (h *heteroF32) rejoin(step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
+func (h *supervisor[T]) rejoin(step int64, frontier []graph.VertexID) ([]device[T], func(*comm.Endpoint[T]) error, error) {
 	devs, handshake, gen, epoch, err := h.restoreFullMembership(step, frontier)
 	if err != nil {
-		return devs, nil, err
+		return nil, nil, err
 	}
 	for _, c := range h.down() {
 		emitEvent(h.cfg.sink, metrics.Event{
@@ -1748,11 +1346,11 @@ func (h *heteroF32) rejoin(step int64, frontier []graph.VertexID) ([]*deviceF32,
 // `step` after their latency re-normalized: the same replay machinery as
 // rejoin, but the outcome is recorded as a rehabilitation — the ranks never
 // failed, so Healed and FailedRanks stay untouched.
-func (h *heteroF32) rehabilitate(step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
+func (h *supervisor[T]) rehabilitate(step int64, frontier []graph.VertexID) ([]device[T], func(*comm.Endpoint[T]) error, error) {
 	ranks := h.softRanks()
 	devs, handshake, gen, epoch, err := h.restoreFullMembership(step, frontier)
 	if err != nil {
-		return devs, nil, err
+		return nil, nil, err
 	}
 	for _, s := range ranks {
 		emitEvent(h.cfg.sink, metrics.Event{
@@ -1771,58 +1369,6 @@ func (h *heteroF32) rehabilitate(step int64, frontier []graph.VertexID) ([]*devi
 	h.recomputeMembers()
 	h.recordHealthGauges()
 	return devs, handshake, nil
-}
-
-// runPermanentDegraded finishes the run single-device from the restored
-// checkpoint — the non-rejoin degradation path, unchanged from before
-// rejoin existed (one batched runF32Loop continuation).
-func (h *heteroF32) runPermanentDegraded(sd *deviceF32, snap *checkpoint.Snapshot, firstErr error) (HeteroResult, error) {
-	remaining := h.maxIter - int(snap.Superstep)
-	rec, err := runF32Loop(sd, snap.MergedFrontier(), remaining)
-	var aerr *RunAbortedError
-	if err != nil && !errors.As(err, &aerr) {
-		return HeteroResult{}, fmt.Errorf("core: device failure (%v) and degraded continuation failed: %w", firstErr, err)
-	}
-	h.res.Degraded = true
-	h.res.Recovery = rec
-	h.res.Iterations = snap.Superstep + rec.Iterations
-	h.res.Converged = rec.Converged
-	h.res.DegradedSupersteps += rec.Iterations
-	h.exec += rec.Phases.Generate + rec.Phases.Process + rec.Phases.Update
-	if aerr != nil {
-		abs := snap.Superstep + aerr.Superstep
-		h.res.Iterations = abs
-		h.res.Converged = false
-		return h.finalize(), &RunAbortedError{Superstep: abs}
-	}
-	return h.finalize(), nil
-}
-
-// runPermanentDegradedFrom finishes the run single-device from an arbitrary
-// mid-window boundary — the fallback when a rejoin attempt fails.
-func (h *heteroF32) runPermanentDegradedFrom(sd *deviceF32, step int64, frontier []graph.VertexID, firstErr error) (HeteroResult, error) {
-	rec, err := runF32Loop(sd, frontier, h.maxIter-int(step))
-	var aerr *RunAbortedError
-	if err != nil && !errors.As(err, &aerr) {
-		return HeteroResult{}, fmt.Errorf("core: device failure (%v) and degraded continuation failed: %w", firstErr, err)
-	}
-	h.res.Degraded = true
-	h.res.Recovery.Iterations += rec.Iterations
-	h.res.Recovery.Converged = rec.Converged
-	h.res.Recovery.Counters.Add(rec.Counters)
-	h.res.Recovery.Phases.Add(rec.Phases)
-	h.res.Recovery.SimSeconds = h.res.Recovery.Phases.Total()
-	h.res.Iterations = step + rec.Iterations
-	h.res.Converged = rec.Converged
-	h.res.DegradedSupersteps += rec.Iterations
-	h.exec += rec.Phases.Generate + rec.Phases.Process + rec.Phases.Update
-	if aerr != nil {
-		abs := step + aerr.Superstep
-		h.res.Iterations = abs
-		h.res.Converged = false
-		return h.finalize(), &RunAbortedError{Superstep: abs}
-	}
-	return h.finalize(), nil
 }
 
 // recordLinks pushes the interconnect's per-link traffic and integrity
@@ -1850,7 +1396,7 @@ func recordLinks(sink metrics.Sink, links []comm.LinkStat, integ comm.IntegrityS
 
 // finalize stamps the run-level times and the interconnect's link/integrity
 // record into the accumulated result.
-func (h *heteroF32) finalize() HeteroResult {
+func (h *supervisor[T]) finalize() HeteroResult {
 	for r := range h.suspects {
 		h.res.SuspectRanks = append(h.res.SuspectRanks, r)
 	}
@@ -1865,29 +1411,4 @@ func (h *heteroF32) finalize() HeteroResult {
 	h.res.SimSeconds = h.res.ExecSeconds + h.res.CommSeconds
 	h.res.WallSeconds = time.Since(h.start).Seconds()
 	return h.res
-}
-
-// lockstepSeconds sums, over the first n iterations, the slowest rank's
-// compute time. lead bounds the iteration count (the reference rank, rank 0
-// at full membership).
-func lockstepSeconds(iterTimes [][]float64, lead, n int) float64 {
-	var total float64
-	for i := 0; i < n && i < len(iterTimes[lead]); i++ {
-		t := iterTimes[lead][i]
-		for _, times := range iterTimes {
-			if i < len(times) && times[i] > t {
-				t = times[i]
-			}
-		}
-		total += t
-	}
-	return total
-}
-
-// recordIter accumulates one iteration into a rank's Result.
-func (d *deviceF32) recordIter(r *Result, c machine.Counters, pt PhaseTimes) {
-	r.Iterations++
-	r.Counters.Add(c)
-	r.Phases.Add(pt)
-	r.SimSeconds = r.Phases.Total()
 }
