@@ -310,7 +310,7 @@ func run(args []string) error {
 			return err
 		}
 		opts := groupOptions(opt, specs)
-		res, err := hetgraph.RunHetero(app, g, assign, opts...)
+		res, err := hetgraph.RunF32Hetero(app, g, assign, opts...)
 		if err != nil && !errors.As(err, &abortErr) {
 			return err
 		}

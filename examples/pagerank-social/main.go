@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("hybrid partitioning 3:5 cuts %d of %d edges\n", hetgraph.CrossEdges(g, assign), g.NumEdges())
 
 	hetApp := hetgraph.NewPageRank()
-	hetRes, err := hetgraph.RunHetero(hetApp, g, assign,
+	hetRes, err := hetgraph.RunF32Hetero(hetApp, g, assign,
 		hetgraph.Options{Dev: hetgraph.CPU(), Scheme: hetgraph.SchemeLocking, Vectorized: true, MaxIterations: iterations},
 		hetgraph.Options{Dev: hetgraph.MIC(), Scheme: hetgraph.SchemePipelined, Vectorized: true, MaxIterations: iterations},
 	)

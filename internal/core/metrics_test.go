@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"hetgraph/internal/apps"
@@ -164,6 +165,65 @@ func TestMetricsDegradedRunEventLog(t *testing.T) {
 	}
 	if failedAt == -1 || degradedAt < failedAt {
 		t.Errorf("degraded event (index %d) not after device-failed (index %d)", degradedAt, failedAt)
+	}
+}
+
+// degradeSplitSink records the phase samples emitted after the run's
+// degraded event, i.e. the surviving ranks' samples.
+type degradeSplitSink struct {
+	mu       sync.Mutex
+	degraded bool
+	after    []metrics.PhaseSample
+}
+
+func (s *degradeSplitSink) RecordPhase(p metrics.PhaseSample) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.degraded {
+		s.after = append(s.after, p)
+	}
+}
+
+func (s *degradeSplitSink) RecordEvent(e metrics.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.Kind == metrics.EventDegraded {
+		s.degraded = true
+	}
+}
+
+// TestMetricsDegradedLoneSurvivorSamplesCarryRank: after rank 0 drops, the
+// MIC rank finishes alone from the checkpoint at superstep 4. Its phase
+// samples must carry its own rank and the absolute supersteps it replays —
+// not rank 0 with supersteps restarting at 0, which collide with the dead
+// CPU rank's samples.
+func TestMetricsDegradedLoneSurvivorSamplesCarryRank(t *testing.T) {
+	g := chaosGraph(t)
+	assign := chaosAssign(t, g)
+	opt0, opt1 := chaosOpts(10, 2, "rank0:drop@5", t)
+	sink := &degradeSplitSink{}
+	opt0.Metrics, opt1.Metrics = sink, sink
+	res, err := core.RunF32Hetero(apps.NewPageRank(), g, assign, opt0, opt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.FailedRank != 0 || res.ResumedSuperstep != 4 {
+		t.Fatalf("Degraded=%v FailedRank=%d ResumedSuperstep=%d, want rank 0 down and a resume at 4",
+			res.Degraded, res.FailedRank, res.ResumedSuperstep)
+	}
+	if len(sink.after) == 0 {
+		t.Fatal("no phase samples after the degrade")
+	}
+	seen := map[int64]bool{}
+	for _, s := range sink.after {
+		if s.Rank != 1 || s.Superstep < res.ResumedSuperstep || s.Superstep >= res.Iterations {
+			t.Fatalf("post-degrade sample rank=%d superstep=%d, want rank 1 in [%d, %d)",
+				s.Rank, s.Superstep, res.ResumedSuperstep, res.Iterations)
+		}
+		seen[s.Superstep] = true
+	}
+	if int64(len(seen)) != res.Iterations-res.ResumedSuperstep {
+		t.Errorf("survivor sampled supersteps %v, want every one of [%d, %d)", seen, res.ResumedSuperstep, res.Iterations)
 	}
 }
 

@@ -860,7 +860,7 @@ func NewInjector(p Plan) (*Injector, error) {
 
 // Drop reports whether rank's exchange at step is dropped (the rank dies).
 // Both permanent drops and flaky stalls kill the rank here; the difference
-// is whether RecoverAt later declares it rejoinable.
+// is whether RecoverStep later declares it rejoinable.
 func (in *Injector) Drop(rank int, step int64) bool {
 	if in == nil {
 		return false
@@ -873,46 +873,16 @@ func (in *Injector) Drop(rank int, step int64) bool {
 	return false
 }
 
-// RecoverAt reports whether rank — felled by a fault detected at superstep
-// failedStep — is recovered and may rejoin at superstep step. A flaky event
-// recovers its own failure (same step) Times supersteps after it fired; a
-// recover event pairs with any earlier failure on the same rank and names
-// the rejoin superstep explicitly; a heal event acts as a recover event for
-// every rank (it readmits a fenced partition side). failedStep may be -1
-// for failures that could not be attributed to a superstep (panics); only
-// explicit recover/heal events match those.
-func (in *Injector) RecoverAt(rank int, failedStep, step int64) bool {
-	if in == nil {
-		return false
-	}
-	for _, e := range in.events {
-		if e.Rank != rank && e.Kind != KindHeal {
-			continue
-		}
-		switch e.Kind {
-		case KindFlaky:
-			down := int64(e.Times)
-			if down < 1 {
-				down = 1
-			}
-			if e.Step == failedStep && step >= e.Step+down {
-				return true
-			}
-		case KindRecover, KindHeal:
-			if e.Step > failedStep && step >= e.Step {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // RecoverStep returns the earliest superstep at which rank — felled by a
-// fault detected at superstep failedStep — becomes recoverable, or -1 if the
-// plan never recovers it. It is the closed form of RecoverAt: RecoverAt(rank,
-// failedStep, s) holds exactly for s >= RecoverStep(rank, failedStep). The
-// supervisor uses it to bound degraded segments instead of polling every
-// superstep.
+// fault detected at superstep failedStep — becomes recoverable and may
+// rejoin, or -1 if the plan never recovers it. A flaky event recovers its
+// own failure (same step) Times supersteps after it fired; a recover event
+// pairs with any earlier failure on the same rank and names the rejoin
+// superstep explicitly; a heal event acts as a recover event for every rank
+// (it readmits a fenced partition side). failedStep may be -1 for failures
+// that could not be attributed to a superstep (panics); only explicit
+// recover/heal events match those. The supervisor uses it to bound degraded
+// segments.
 func (in *Injector) RecoverStep(rank int, failedStep int64) int64 {
 	if in == nil {
 		return -1

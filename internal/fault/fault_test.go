@@ -290,7 +290,7 @@ func TestFlakyDropsLikeDrop(t *testing.T) {
 	}
 }
 
-func TestRecoverAtPairsWithItsOwnFailure(t *testing.T) {
+func TestRecoverStepPairsWithItsOwnFailure(t *testing.T) {
 	p, err := Parse("rank1:flaky@3x2")
 	if err != nil {
 		t.Fatal(err)
@@ -300,24 +300,21 @@ func TestRecoverAtPairsWithItsOwnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Down for supersteps 3 and 4, recoverable from 5 on.
-	if in.RecoverAt(1, 3, 3) || in.RecoverAt(1, 3, 4) {
-		t.Error("rank declared recovered inside its down-window")
-	}
-	if !in.RecoverAt(1, 3, 5) || !in.RecoverAt(1, 3, 6) {
-		t.Error("rank not recoverable after its down-window")
+	if got := in.RecoverStep(1, 3); got != 5 {
+		t.Errorf("RecoverStep(1, 3) = %d, want 5 (down for supersteps 3 and 4)", got)
 	}
 	// A flaky event only heals the failure it caused: a later failure at a
 	// different superstep must stay permanent.
-	if in.RecoverAt(1, 6, 8) {
-		t.Error("flaky@3 healed an unrelated failure at superstep 6")
+	if got := in.RecoverStep(1, 6); got != -1 {
+		t.Errorf("flaky@3 healed an unrelated failure at superstep 6 (RecoverStep = %d)", got)
 	}
-	if in.RecoverAt(0, 3, 5) {
-		t.Error("recovery matched the wrong rank")
+	if got := in.RecoverStep(0, 3); got != -1 {
+		t.Errorf("recovery matched the wrong rank (RecoverStep = %d)", got)
 	}
 	// An unattributed failure (failedStep -1, e.g. a panic) is not matched
 	// by flaky self-recovery.
-	if in.RecoverAt(1, -1, 5) {
-		t.Error("flaky healed an unattributed failure")
+	if got := in.RecoverStep(1, -1); got != -1 {
+		t.Errorf("flaky healed an unattributed failure (RecoverStep = %d)", got)
 	}
 }
 
@@ -330,24 +327,22 @@ func TestRecoverEventMatchesLaterFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.RecoverAt(1, 3, 4) {
-		t.Error("recovered before the recover event's superstep")
-	}
-	if !in.RecoverAt(1, 3, 5) {
-		t.Error("explicit recover@5 not honored")
+	// Not before the recover event's superstep, and from it on.
+	if got := in.RecoverStep(1, 3); got != 5 {
+		t.Errorf("RecoverStep(1, 3) = %d, want the explicit recover@5", got)
 	}
 	// Explicit recover events do match unattributed failures.
-	if !in.RecoverAt(1, -1, 5) {
-		t.Error("recover@5 did not match an unattributed failure")
+	if got := in.RecoverStep(1, -1); got != 5 {
+		t.Errorf("recover@5 did not match an unattributed failure (RecoverStep = %d)", got)
 	}
 	// But not failures that happen at or after the recover step: the
 	// declaration must postdate the failure it heals.
-	if in.RecoverAt(1, 5, 7) || in.RecoverAt(1, 6, 9) {
+	if in.RecoverStep(1, 5) != -1 || in.RecoverStep(1, 6) != -1 {
 		t.Error("recover@5 healed a failure at/after its own superstep")
 	}
 	var nilIn *Injector
-	if nilIn.RecoverAt(1, 3, 5) {
-		t.Error("nil injector declared a recovery")
+	if got := nilIn.RecoverStep(1, 3); got != -1 {
+		t.Errorf("nil injector declared a recovery at %d", got)
 	}
 }
 
@@ -485,20 +480,15 @@ func TestHealActsAsRecoverForAnyRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every rank is recovered exactly at the heal step, not before.
 	for _, rank := range []int{0, 1, 2, 3} {
-		if in.RecoverAt(rank, 3, 5) {
-			t.Errorf("rank %d recovered before the heal", rank)
-		}
-		if !in.RecoverAt(rank, 3, 6) {
-			t.Errorf("rank %d not recovered at the heal step", rank)
-		}
 		if got := in.RecoverStep(rank, 3); got != 6 {
 			t.Errorf("RecoverStep(rank %d) = %d, want 6", rank, got)
 		}
 	}
 	// Heal only matches failures before its step.
-	if in.RecoverAt(0, 6, 8) {
-		t.Error("heal@6 healed a failure at its own superstep")
+	if got := in.RecoverStep(0, 6); got != -1 {
+		t.Errorf("heal@6 healed a failure at its own superstep (RecoverStep = %d)", got)
 	}
 }
 
