@@ -347,32 +347,13 @@ func runGroup[T any](app program, g *graph.CSR, assign []int32, deviceOpts []Opt
 		return HeteroResult{}, err
 	}
 	cfg := resolveFaultConfig(opts...)
-	if cfg.rejoin && cfg.every == 0 && cfg.dir == "" {
-		return HeteroResult{}, &InvalidOptionsError{
-			Field:  "Rejoin",
-			Reason: "requires CheckpointEvery > 0 or CheckpointDir: rejoin replays the restarted rank from a checkpoint, and a run that never captures one cannot heal",
-		}
-	}
-	if cfg.stragglerPolicy != StragglerOff {
-		if cfg.stragglerThreshold == 0 {
-			return HeteroResult{}, &InvalidOptionsError{
-				Field:  "StragglerPolicy",
-				Reason: fmt.Sprintf("%s requires StragglerThreshold > 0: there is no straggler definition to act on", cfg.stragglerPolicy),
-			}
-		}
-		if cfg.every == 0 {
-			return HeteroResult{}, &InvalidOptionsError{
-				Field:  "StragglerPolicy",
-				Reason: fmt.Sprintf("%s requires CheckpointEvery > 0: soft-degrade and rehabilitation act at checkpoint barriers", cfg.stragglerPolicy),
-			}
-		}
-	}
 	net.SetTimeout(cfg.timeout)
 	net.SetInjector(cfg.inj)
 	// The merged robustness settings govern the whole run; propagate them
 	// onto every option so the engines (in-phase fault injection, abort
-	// checks) and per-option validation see one consistent configuration
-	// regardless of which option carried each knob.
+	// checks) and per-option validation — which rejects Rejoin or a
+	// straggler policy without checkpointing — see one consistent
+	// configuration regardless of which option carried each knob.
 	for r := range opts {
 		opts[r].Fault = cfg.inj
 		opts[r].ExchangeTimeout = cfg.timeout
@@ -387,7 +368,7 @@ func runGroup[T any](app program, g *graph.CSR, assign []int32, deviceOpts []Opt
 	}
 	resolveTraceLabels(opts)
 	h := &supervisor[T]{
-		g: g, assign: assign, net: net, cfg: cfg, opts: opts, newDev: newDev,
+		assign: assign, net: net, cfg: cfg, opts: opts, newDev: newDev,
 		n: n, members: allRanks(n), downStep: map[int]int64{},
 		softDown: map[int]int64{}, suspects: map[int]bool{},
 		start: start, lastRejoin: -1,
@@ -502,7 +483,6 @@ func runGroup[T any](app program, g *graph.CSR, assign []int32, deviceOpts []Opt
 // run by restarting the failed ranks and re-admitting them at a superstep
 // barrier under a new comm epoch.
 type supervisor[T any] struct {
-	g       *graph.CSR
 	assign  []int32
 	net     *comm.Net[T]
 	cfg     robustnessConfig

@@ -227,9 +227,10 @@ func TestMetricsDegradedLoneSurvivorSamplesCarryRank(t *testing.T) {
 	}
 }
 
-// TestMetricsSuperstepErrorReturnsPartialResult checks the runF32Loop fix:
-// a mid-run failure must surface the superstep index in the error, keep the
-// counters accumulated so far, and log a superstep-error event.
+// TestMetricsSuperstepErrorReturnsPartialResult checks the single-device
+// failure contract: a mid-run failure must surface the superstep index in
+// the error, keep the counters accumulated so far, and log a superstep-error
+// event.
 func TestMetricsSuperstepErrorReturnsPartialResult(t *testing.T) {
 	g := testGraph(t)
 	plan, err := fault.Parse("rank0:panic@2:generate")
