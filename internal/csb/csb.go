@@ -396,6 +396,9 @@ func (b *Buffer) allocColumn(gr *group, posIn int) int32 {
 func (b *Buffer) ColumnFills(dst []int32) []int32 {
 	for gi := range b.groups {
 		gr := &b.groups[gi]
+		if atomic.LoadInt32(&gr.colOffset) == 0 {
+			continue // nothing allocated in this group
+		}
 		for posIn := range gr.index {
 			if f := b.positionFill(gr, posIn); f > 0 {
 				dst = append(dst, f)
@@ -417,6 +420,9 @@ func (b *Buffer) PackedRows() int64 {
 	var rows int64
 	for gi := range b.groups {
 		gr := &b.groups[gi]
+		if atomic.LoadInt32(&gr.colOffset) == 0 {
+			continue // nothing allocated in this group
+		}
 		chunk, tallest, occupied := 0, int32(0), 0
 		for posIn := range gr.index {
 			f := b.positionFill(gr, posIn)
