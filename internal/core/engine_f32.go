@@ -177,9 +177,10 @@ func (d *deviceF32) superstep(active []graph.VertexID) (stepOutcome, error) {
 	}
 	d.lap(&d.wall.update, t)
 	s.pt.Generate = d.generateSeconds(s.c)
+	s.pt.Process = d.cm.Process(s.c, d.opt.Dev.Threads(), d.opt.Vectorized)
 	// Pull supersteps add the bottom-up in-edge sweep to the process phase;
 	// zero when no edges were scanned.
-	s.pt.Process = d.cm.Process(s.c, d.opt.Dev.Threads(), d.opt.Vectorized) + d.cm.Pull(s.c, d.opt.Dev.Threads())
+	s.pt.Process += d.cm.Pull(s.c, d.opt.Dev.Threads())
 	s.pt.Update = d.cm.Update(s.c, d.opt.Dev.Threads())
 	return s, nil
 }
