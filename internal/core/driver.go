@@ -75,12 +75,12 @@ type engine[T any] struct {
 
 // init resolves and validates opt and builds the state shared by both
 // device types.
-func (e *engine[T]) init(app any, prof machine.AppProfile, opt Options, rank int, assign []int32, ep *comm.Endpoint[T]) error {
+func (e *engine[T]) init(app program, opt Options, rank int, assign []int32, ep *comm.Endpoint[T]) error {
 	e.opt = opt.withDefaults()
 	if err := e.opt.validate(); err != nil {
 		return err
 	}
-	cm, err := machine.NewCostModel(e.opt.Dev, prof)
+	cm, err := machine.NewCostModel(e.opt.Dev, app.Profile())
 	if err != nil {
 		return err
 	}

@@ -49,7 +49,7 @@ type remoteCombinerF32 interface {
 
 func newDeviceF32(app AppF32, g *graph.CSR, opt Options, rank int, assign []int32, ep *comm.Endpoint[float32]) (*deviceF32, error) {
 	d := &deviceF32{app: app, g: g}
-	if err := d.init(app, app.Profile(), opt, rank, assign, ep); err != nil {
+	if err := d.init(app, opt, rank, assign, ep); err != nil {
 		return nil, err
 	}
 	var err error

@@ -27,7 +27,7 @@ type deviceGeneric[T any] struct {
 
 func newDeviceGeneric[T any](app AppGeneric[T], g *graph.CSR, opt Options, rank int, assign []int32, ep *comm.Endpoint[T]) (*deviceGeneric[T], error) {
 	d := &deviceGeneric[T]{app: app, g: g}
-	if err := d.init(app, app.Profile(), opt, rank, assign, ep); err != nil {
+	if err := d.init(app, opt, rank, assign, ep); err != nil {
 		return nil, err
 	}
 	// The generic engine is push-only: structured messages carry data the
