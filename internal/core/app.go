@@ -71,6 +71,12 @@ type AppGeneric[T any] interface {
 // edges every iteration" (§V-C). The engine then reuses the initial active
 // set each iteration instead of deriving it from updates, and the run is
 // bounded by MaxIterations.
+//
+// Declaring it is a contract on Generate: every call emits exactly once per
+// out-edge of v, in Neighbors(v) order. A rank running the locking scheme
+// in push direction relies on it to precompute every message's CSB cell
+// (csb.Buffer.Plan) and checks it on every emit; a violation fails the run
+// with an error naming the vertex.
 type FixedActiveSet interface {
 	FixedActiveSet() bool
 }

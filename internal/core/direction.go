@@ -38,10 +38,15 @@ type PullerF32 interface {
 // OrderSensitiveReduction is optionally implemented by AppF32 programs
 // whose ReduceScalar is not exactly associative — float32 summation, where
 // (a+b)+c and a+(b+c) differ in the last bit. The engine then canonicalizes
-// every reduction order: CSB lanes are sorted ascending before folding, and
-// the remote combiner buffers duplicates and folds them in sorted order at
-// drain (comm.SortingCombiner). Repeated and crash-resumed runs of such
-// apps produce byte-identical vertex state.
+// every reduction order, so repeated and crash-resumed runs of such apps
+// produce byte-identical vertex state:
+//   - on the dynamic-column path (pipelined scheme, or an app without
+//     FixedActiveSet) each CSB lane is sorted ascending before folding;
+//   - a locking push rank of a FixedActiveSet app needs no sort: its
+//     scatter plan writes each lane in ascending source-ID order, and
+//     received messages follow in peer-rank order;
+//   - the remote combiner buffers duplicates and folds them in sorted order
+//     at drain (comm.SortingCombiner), on every rank.
 type OrderSensitiveReduction interface {
 	OrderSensitiveReduction() bool
 }
@@ -235,7 +240,9 @@ func (d *deviceF32) processPull(c *machine.Counters) ([]delivery, error) {
 		return nil, err
 	}
 	earlyExit := ds.puller.PullEarlyExit()
-	perThread := make([][]delivery, d.opt.Threads)
+	// processPush has copied its per-thread outputs into d.deliveries
+	// (which remote aliases), so the per-thread scratch is free again.
+	perThread := d.outScratch
 	var scanned atomic.Int64
 	var wg sync.WaitGroup
 	var pc pipeline.PanicCollector
@@ -244,7 +251,7 @@ func (d *deviceF32) processPull(c *machine.Counters) ([]delivery, error) {
 		go func(t int) {
 			defer wg.Done()
 			defer pc.Capture()
-			var out []delivery
+			out := perThread[t][:0]
 			var localScanned int64
 			for {
 				lo, hi, ok := s.Next()
@@ -296,21 +303,18 @@ func (d *deviceF32) processPull(c *machine.Counters) ([]delivery, error) {
 	if err := pc.Err(); err != nil {
 		return nil, err
 	}
-	// Reset the scatter scratch for the next superstep.
+	// Reset the scatter scratch for the next superstep. This is remote's
+	// last use: the deliveries below overwrite it.
 	for _, dl := range remote {
 		ds.has[dl.v] = false
 		ds.vals[dl.v] = 0
 	}
-	var total int
+	d.deliveries = d.deliveries[:0]
 	for _, out := range perThread {
-		total += len(out)
-	}
-	deliveries := make([]delivery, 0, total)
-	for _, out := range perThread {
-		deliveries = append(deliveries, out...)
+		d.deliveries = append(d.deliveries, out...)
 	}
 	c.PullEdgesScanned += scanned.Load()
 	c.TaskFetches += s.Fetches()
 	c.Steps++
-	return deliveries, nil
+	return d.deliveries, nil
 }

@@ -237,9 +237,12 @@ func asInvalidOptions(err error, target **core.InvalidOptionsError) bool {
 }
 
 // TestPageRankByteDeterminism: repeated PageRank runs — multi-threaded,
-// locking and pipelined, single device and a 2-rank group — produce
-// bit-identical ranks, because the engine folds its float32 sums in
-// canonical sorted order (sorted CSB lanes, sorting remote combiner).
+// locking and pipelined, single device and 2- and 3-rank groups — produce
+// bit-identical ranks, because the engine folds its float32 sums in a
+// canonical order: a locking rank's scatter plan lays each lane out in
+// source order followed by received messages in peer order, a pipelined
+// rank sorts its lanes, and the remote combiner folds each destination's
+// values in sorted order.
 func TestPageRankByteDeterminism(t *testing.T) {
 	g := directionGraphs(t)["powerlaw"]
 	const iters = 15
@@ -257,10 +260,18 @@ func TestPageRankByteDeterminism(t *testing.T) {
 		}
 		return bits(app.Ranks)
 	}
-	hetero := func() []uint32 {
-		assign := nrankAssign(t, g, 2)
+	// hetero runs an n-rank group; allLocking plans every rank, so each
+	// one places messages from several planned peers.
+	hetero := func(n int, allLocking bool) []uint32 {
+		assign := nrankAssign(t, g, n)
 		app := apps.NewPageRank()
-		if _, err := core.RunF32Hetero(app, g, assign, nrankOpts(t, 2, iters, 0, "")...); err != nil {
+		opts := nrankOpts(t, n, iters, 0, "")
+		if allLocking {
+			for r := range opts {
+				opts[r].Scheme = core.SchemeLocking
+			}
+		}
+		if _, err := core.RunF32Hetero(app, g, assign, opts...); err != nil {
 			t.Fatal(err)
 		}
 		return bits(app.Ranks)
@@ -268,7 +279,8 @@ func TestPageRankByteDeterminism(t *testing.T) {
 	for name, run := range map[string]func() []uint32{
 		"locking":   func() []uint32 { return single(core.SchemeLocking) },
 		"pipelined": func() []uint32 { return single(core.SchemePipelined) },
-		"hetero2":   hetero,
+		"hetero2":   func() []uint32 { return hetero(2, false) },
+		"hetero3":   func() []uint32 { return hetero(3, true) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			want := run()

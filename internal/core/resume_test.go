@@ -71,6 +71,44 @@ func TestCrashRestartResumePageRank(t *testing.T) {
 	}
 }
 
+// TestCrashRestartResumePageRankBitEqual: a crashed and resumed 2-rank
+// PageRank run ends bit-equal to the uninterrupted run, not merely within
+// the oracle's tolerance. The locking rank folds its planned lanes in
+// source order and the pipelined rank sorts its lanes; either way the
+// fold order is a function of the restored state, never of the crash.
+func TestCrashRestartResumePageRankBitEqual(t *testing.T) {
+	g := chaosGraph(t)
+	assign := chaosAssign(t, g)
+	const iters = 8
+
+	whole := apps.NewPageRank()
+	opt0, opt1 := durableOpts(iters, 1, t.TempDir(), "", false, t)
+	if _, err := core.RunF32Hetero(whole, g, assign, opt0, opt1); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	opt0, opt1 = durableOpts(iters, 1, dir, "rank0:iofail@4:sync", false, t)
+	if _, err := core.RunF32Hetero(apps.NewPageRank(), g, assign, opt0, opt1); err == nil {
+		t.Fatal("faulted commit did not abort the run")
+	}
+	resumed := apps.NewPageRank()
+	opt0, opt1 = durableOpts(iters, 1, dir, "", true, t)
+	res, err := core.RunF32Hetero(resumed, g, assign, opt0, opt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.DiskResumed || res.ResumedSuperstep == 0 {
+		t.Fatalf("DiskResumed=%v ResumedSuperstep=%d, want a mid-run resume", res.DiskResumed, res.ResumedSuperstep)
+	}
+	for v := range whole.Ranks {
+		if math.Float32bits(resumed.Ranks[v]) != math.Float32bits(whole.Ranks[v]) {
+			t.Fatalf("rank[%d] bits %08x after resume, %08x uninterrupted", v,
+				math.Float32bits(resumed.Ranks[v]), math.Float32bits(whole.Ranks[v]))
+		}
+	}
+}
+
 // TestCrashRestartResumeCorruptNewestFallsBack: the newest on-disk
 // generation is deliberately corrupted (a torn write that the commit never
 // noticed); resume must fall back to the previous generation and still

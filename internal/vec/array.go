@@ -25,6 +25,20 @@ func NewArrayF32(w Width, rows int) (*ArrayF32, error) {
 	return &ArrayF32{width: int(w), data: make([]float32, rows*int(w))}, nil
 }
 
+// ViewArrayF32 wraps data, which must hold exactly rows*w elements, as a
+// vector array without copying: the array aliases data. The Condensed
+// Static Buffer carves its per-group arrays out of one flat cell backing
+// this way, so a cell has one index across all arrays.
+func ViewArrayF32(w Width, rows int, data []float32) (*ArrayF32, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	if rows < 0 || len(data) != rows*int(w) {
+		return nil, fmt.Errorf("vec: %d elements cannot view %d rows of width %d", len(data), rows, int(w))
+	}
+	return &ArrayF32{width: int(w), data: data[:len(data):len(data)]}, nil
+}
+
 // MustArrayF32 is NewArrayF32 that panics on invalid shape; for callers that
 // validated the width at configuration time.
 func MustArrayF32(w Width, rows int) *ArrayF32 {

@@ -367,6 +367,28 @@ func TestArrayF32Shape(t *testing.T) {
 	}
 }
 
+func TestViewArrayF32Aliases(t *testing.T) {
+	data := make([]float32, 12)
+	if _, err := ViewArrayF32(Width(4), 2, data); err == nil {
+		t.Fatal("ViewArrayF32 accepted a backing of the wrong length")
+	}
+	if _, err := ViewArrayF32(Width(3), 4, data); err == nil {
+		t.Fatal("ViewArrayF32 accepted invalid width")
+	}
+	a, err := ViewArrayF32(Width(4), 3, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Set(2, 1, 7)
+	data[4] = 5
+	if data[2*4+1] != 7 || a.At(1, 0) != 5 {
+		t.Fatal("view does not alias its backing")
+	}
+	if cap(a.Raw()) != len(data) {
+		t.Fatalf("view capacity = %d, want %d", cap(a.Raw()), len(data))
+	}
+}
+
 func TestMustArrayF32Panics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
